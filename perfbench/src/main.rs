@@ -1210,8 +1210,7 @@ fn run_session(
     let s = Session::new(args, traced, seconds, capture)?;
     let dir = s.dir.clone();
     let out = s.run();
-    // The session removes its directory when it finishes; this also covers
-    // a session that failed part-way.
+    // Remove the WAL directory whether the session finished or failed.
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
