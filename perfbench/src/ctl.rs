@@ -31,16 +31,23 @@ pub struct AppTimes {
 
 pub type SharedTimes = Arc<Mutex<AppTimes>>;
 
-/// Delegates every callback to the wrapped `SavApp`, timing two of them.
+/// Delegates every callback to the wrapped `SavApp`, timing two of them
+/// when given somewhere to record the times.
 struct TimedSav {
     inner: SavApp,
-    times: SharedTimes,
+    times: Option<SharedTimes>,
 }
 
 impl TimedSav {
-    fn record(&self, pick: fn(&mut AppTimes) -> &mut Vec<f64>, since: Instant) {
-        let ns = since.elapsed().as_nanos() as f64;
-        pick(&mut self.times.lock().expect("app timing lock poisoned")).push(ns);
+    fn start(&self) -> Option<Instant> {
+        self.times.as_ref().map(|_| Instant::now())
+    }
+
+    fn record(&self, pick: fn(&mut AppTimes) -> &mut Vec<f64>, since: Option<Instant>) {
+        if let (Some(times), Some(since)) = (&self.times, since) {
+            let ns = since.elapsed().as_nanos() as f64;
+            pick(&mut times.lock().expect("app timing lock poisoned")).push(ns);
+        }
     }
 }
 
@@ -58,7 +65,7 @@ impl App for TimedSav {
     }
 
     fn on_packet_in(&mut self, ctx: &mut Ctx, dpid: u64, pi: &PacketIn) -> Disposition {
-        let t = Instant::now();
+        let t = self.start();
         let d = self.inner.on_packet_in(ctx, dpid, pi);
         self.record(|a| &mut a.packet_in_ns, t);
         d
@@ -73,7 +80,7 @@ impl App for TimedSav {
     }
 
     fn on_stats_reply(&mut self, ctx: &mut Ctx, dpid: u64, body: &MultipartReplyBody) {
-        let t = Instant::now();
+        let t = self.start();
         self.inner.on_stats_reply(ctx, dpid, body);
         self.record(|a| &mut a.stats_reply_ns, t);
     }
@@ -94,13 +101,15 @@ pub struct Life {
 }
 
 impl Life {
-    /// Open the store in `dir` and bind a controller on it.
+    /// Open the store in `dir` and bind a controller on it. With `times`,
+    /// `SavApp`'s `on_packet_in` and `on_stats_reply` calls are timed into
+    /// it.
     pub fn start(
         topo: &Arc<Topology>,
         config: &SavConfig,
         dir: &Path,
         traced: bool,
-        times: &SharedTimes,
+        times: Option<&SharedTimes>,
     ) -> std::io::Result<Life> {
         let obs = if traced {
             Obs::with_tracing()
@@ -120,7 +129,7 @@ impl Life {
         let apps: Vec<Box<dyn App>> = vec![
             Box::new(TimedSav {
                 inner: sav,
-                times: times.clone(),
+                times: times.cloned(),
             }),
             Box::new(L2RoutingApp::new(topo.clone(), routes)),
         ];

@@ -32,7 +32,7 @@ use sav_sim::SimTime;
 use sav_store::{BindingRecord, BindingStore, RecordSource, StoreConfig, WalOp};
 use sav_topo::generators;
 use sav_topo::Topology;
-use stats::{median, quantile, ratio, Rng};
+use stats::{median, quantile, ratio, Rng, Samples};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::io;
@@ -41,8 +41,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 15;
+/// Set-ups per run, and the pause between two of them; `setup_s` is their
+/// median.
+const SETUPS: usize = 31;
+const SETUP_GAP: Duration = Duration::from_millis(100);
 const SETUP_DEADLINE: Duration = Duration::from_secs(10);
 /// A binding (or release) not enforced this long after it started fails.
 const ENFORCE_DEADLINE: Duration = Duration::from_secs(2);
@@ -54,6 +56,10 @@ const LATE_LIMIT_MS: f64 = 25.0;
 const COVERAGE_BAR: f64 = 0.9;
 /// Length of one steal window (see `Session::close_windows`).
 const STEAL_WINDOW: Duration = Duration::from_millis(500);
+/// Largest share of CPU time stolen in a window that still counts as calm
+/// (see `Results::calm`): about one 10 ms clock tick per window on a
+/// two-CPU machine.
+const CALM_STEAL: f64 = 0.015;
 
 /// `lease_steady`: offered DHCP arrivals per second (Poisson) and the
 /// seeded hold time before RELEASE, in seconds.
@@ -71,10 +77,12 @@ const BURST_DEADLINE: Duration = Duration::from_secs(10);
 const MUTATE_FRAC: (f64, f64) = (0.02, 0.06);
 /// Bindings that survived a restart untouched, probed after each recovery.
 const KEPT_PROBES: usize = 16;
-/// `restart_reconcile`: closed-loop DHCP bindings after each recovery, and
-/// the seeded pause before each.
-const CHECKS_PER_ROUND: usize = 8;
-const CHECK_GAP: (f64, f64) = (0.0005, 0.002);
+/// Share of `--seconds` that `lease_steady` spends on restart rounds after
+/// its main phase.
+const RESTART_SHARE: f64 = 1.0 / 3.0;
+/// `restart_reconcile`: idle clients that DISCOVER together after each
+/// recovery.
+const RESTART_BURST: usize = 192;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -118,12 +126,12 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Clients per switch; bindings the WAL is seeded with per switch; restart
-/// rounds run after the main phase.
+/// Clients per switch; bindings the WAL is seeded with per switch; whether
+/// restart rounds follow the main phase.
 struct Shape {
     per_switch: usize,
     seeded_per_switch: usize,
-    end_restarts: usize,
+    end_restarts: bool,
 }
 
 fn shape(w: Workload) -> Shape {
@@ -131,17 +139,17 @@ fn shape(w: Workload) -> Shape {
         Workload::LeaseSteady => Shape {
             per_switch: 200,
             seeded_per_switch: 0,
-            end_restarts: 100,
+            end_restarts: true,
         },
         Workload::FlashCrowd => Shape {
             per_switch: 500,
             seeded_per_switch: 0,
-            end_restarts: 100,
+            end_restarts: false,
         },
         Workload::RestartReconcile => Shape {
-            per_switch: 600,
+            per_switch: 700,
             seeded_per_switch: 500,
-            end_restarts: 0,
+            end_restarts: false,
         },
     }
 }
@@ -224,8 +232,8 @@ impl TraceRec {
 #[derive(Default)]
 struct Results {
     setup_s: Vec<f64>,
-    tte_ms: Tagged,
-    bind_ms: Tagged,
+    tte_ms: Samples,
+    bind_ms: Samples,
     late_ms: Vec<f64>,
     recovery_ms: Tagged,
     replay_ms: Vec<f64>,
@@ -252,6 +260,9 @@ struct Results {
     /// when the window's boundaries were not observed apart).
     steal: Vec<f64>,
     backlog_max: f64,
+    /// Peak resident set at the end of the session, read before the
+    /// samples are sorted and filtered.
+    rss_mb: f64,
     packet_in_ns: Vec<f64>,
     traces: Vec<TraceRec>,
     tables: Vec<FlowTable>,
@@ -262,16 +273,19 @@ impl Results {
         self.unenforced + self.false_allow + self.false_deny
     }
 
-    /// The values of `v` taken in the calmer half of the windows that
-    /// hold any of them: ranked by the share of CPU time the hypervisor
-    /// stole, ties broken by time.
-    fn calm(&self, v: &Tagged) -> Vec<f64> {
+    /// The values of `v` taken in calm windows, those where the hypervisor
+    /// stole at most `CALM_STEAL` of the CPU time. When fewer than a
+    /// quarter of the windows that hold any of them are calm, the calmest
+    /// quarter is kept instead: ranked by steal share, ties broken by time.
+    fn calm(&self, v: &[(usize, f64)]) -> Vec<f64> {
         let mut held: Vec<usize> = v.iter().map(|&(w, _)| w).filter(|&w| w != ALWAYS).collect();
         held.sort_unstable();
         held.dedup();
         let steal = |w: usize| self.steal.get(w).copied().unwrap_or(1.0);
         held.sort_by(|&a, &b| steal(a).total_cmp(&steal(b)).then(a.cmp(&b)));
-        let kept: HashSet<usize> = held.iter().take(held.len().div_ceil(2)).copied().collect();
+        let calm = held.iter().filter(|&&w| steal(w) <= CALM_STEAL).count();
+        let keep = calm.max(held.len().div_ceil(4));
+        let kept: HashSet<usize> = held.iter().take(keep).copied().collect();
         v.iter()
             .filter(|&&(w, _)| w == ALWAYS || kept.contains(&w))
             .map(|&(_, x)| x)
@@ -295,6 +309,9 @@ struct Session {
     net: Net,
     life: Option<Life>,
     times: SharedTimes,
+    /// `SavApp` callbacks are timed (the per-layer untraced session only,
+    /// so measured runs carry no timing in the controller's path).
+    timed: bool,
     rng: Rng,
     /// Samples count toward the measured metrics.
     recording: bool,
@@ -355,6 +372,7 @@ impl Session {
             net,
             life: None,
             times: SharedTimes::default(),
+            timed: capture,
             rng: Rng::new(args.seed),
             recording: false,
             accounting: false,
@@ -384,12 +402,19 @@ impl Session {
             Workload::FlashCrowd => self.flash_crowd()?,
             Workload::RestartReconcile => self.restart_reconcile()?,
         }
-        self.recording = true;
-        for _ in 0..self.shape.end_restarts {
-            self.restart_round()?;
+        if self.shape.end_restarts {
+            self.recording = true;
+            let end = Instant::now() + secs(self.seconds * RESTART_SHARE);
+            loop {
+                self.restart_round()?;
+                if Instant::now() >= end {
+                    break;
+                }
+            }
         }
         self.close_windows();
         self.stop_life();
+        self.r.rss_mb = sys::peak_rss_mb();
         Ok((self.r, self.net.channel_errors, self.net.capture.take()))
     }
 
@@ -401,7 +426,7 @@ impl Session {
             &self.config,
             &self.dir,
             self.traced,
-            &self.times,
+            self.timed.then_some(&self.times),
         )?;
         let replay = life.replay;
         self.net.connect(life.server.local_addr())?;
@@ -422,6 +447,16 @@ impl Session {
         }
         life.server.shutdown();
         self.net.close_all();
+    }
+
+    /// Length of the main phase: `--seconds`, less the restart rounds that
+    /// follow it.
+    fn main_seconds(&self) -> f64 {
+        if self.shape.end_restarts {
+            self.seconds * (1.0 - RESTART_SHARE)
+        } else {
+            self.seconds
+        }
     }
 
     fn life(&self) -> &Life {
@@ -495,11 +530,11 @@ impl Session {
             let (ack, due) = (cl.ack_at, cl.due);
             let w = self.window();
             if let Some(ack) = ack {
-                self.r.tte_ms.push((w, ms(at - ack)));
+                self.r.tte_ms.push(w, ms(at - ack));
             }
             self.r
                 .bind_ms
-                .push((w, ms(at.saturating_duration_since(due))));
+                .push(w, ms(at.saturating_duration_since(due)));
             self.r.rate_bindings += 1;
         }
         if self.accounting {
@@ -670,12 +705,15 @@ impl Session {
         (0..self.net.sw.len()).all(|i| self.net.holds_exactly(i, &desired[i]))
     }
 
-    /// Stand the deployment up `SETUPS` times on empty switches; each
-    /// set-up runs from binding the controller until both switches hold
-    /// their SAV edge rule set.
+    /// Stand the deployment up `SETUPS` times, `SETUP_GAP` apart, on empty
+    /// switches; each set-up runs from binding the controller until both
+    /// switches hold their SAV edge rule set. The gaps spread the set-ups
+    /// over a few seconds, so one short burst of host load moves few of
+    /// them.
     fn setups(&mut self) -> io::Result<()> {
         for k in 0..SETUPS {
             if k > 0 {
+                self.wait_until(Instant::now() + SETUP_GAP)?;
                 self.stop_life();
                 self.net.reset_switches(&self.topo);
             }
@@ -707,7 +745,8 @@ impl Session {
     /// Open-loop Poisson arrivals; each host holds, then releases.
     fn lease_steady(&mut self) -> io::Result<()> {
         let n = self.net.clients.len();
-        let total = LEASE_WARMUP + self.seconds;
+        let seconds = self.main_seconds();
+        let total = LEASE_WARMUP + seconds;
         // The whole schedule comes from the seed: arrival instants, which
         // client, and how long it holds. A client is reused only after its
         // previous hold plus a slack has passed.
@@ -787,84 +826,117 @@ impl Session {
         self.releases.clear();
         self.r
             .rates
-            .push((ALWAYS, self.r.rate_bindings as f64 / self.seconds));
+            .push((ALWAYS, self.r.rate_bindings as f64 / seconds));
         self.end_main();
         Ok(())
     }
 
     /// Every client DISCOVERs at one instant; rounds separated by a mass
     /// release. The first round (every MAC new to the controller) is
-    /// warm-up; the run ends holding the last round's bindings.
+    /// warm-up. While the crowd holds its bindings, the controller is
+    /// restarted once per round, so `recovery_ms` samples come from the
+    /// whole run; the restart's own work stays out of the per-binding
+    /// counters.
     fn flash_crowd(&mut self) -> io::Result<()> {
-        let n = self.net.clients.len();
+        let mut all: Vec<usize> = (0..self.net.clients.len()).collect();
         self.begin_main();
         let end = Instant::now() + secs(self.seconds);
         let mut round = 0;
         loop {
-            let counted = round > 0;
-            let due = Instant::now() + secs(self.rng.range(BURST_GAP.0, BURST_GAP.1));
-            let mut order: Vec<usize> = (0..n).collect();
-            self.rng.shuffle(&mut order);
-            self.wait_until(due)?;
-            if counted {
-                self.r.late_ms.push(ms(Instant::now() - due));
-            }
-            for &c in &order {
-                self.r.attempted += 1;
-                self.measured[c] = counted;
-                self.net.start_binding(c, due);
-                self.net.settle();
-            }
-            let all_bound = |s: &Session| {
-                s.net
-                    .clients
-                    .iter()
-                    .all(|c| c.phase == Phase::Bound && c.acked)
-            };
-            if !self.wait(BURST_DEADLINE, all_bound)? {
-                self.expire_stuck(Duration::ZERO);
-            }
-            if counted {
-                let last = self.net.clients.iter().filter_map(|c| c.enforced_at).max();
-                if let Some(last) = last {
-                    let wall = last.saturating_duration_since(due).as_secs_f64();
-                    let w = self.window();
-                    self.r.rates.push((w, self.r.rate_bindings as f64 / wall));
-                }
-            }
-            self.r.rate_bindings = 0;
+            self.burst(&mut all, round > 0)?;
             round += 1;
             if round >= 2 && Instant::now() >= end {
                 break;
             }
-            let rel = Instant::now() + secs(self.rng.range(RELEASE_GAP.0, RELEASE_GAP.1));
-            self.rng.shuffle(&mut order);
-            self.wait_until(rel)?;
-            for &c in &order {
-                if self.net.clients[c].phase == Phase::Bound {
-                    self.net.release(c);
-                    self.net.settle();
-                }
-            }
-            let all_idle = |s: &Session| s.net.clients.iter().all(|c| c.phase == Phase::Idle);
-            if !self.wait(BURST_DEADLINE, all_idle)? {
-                self.expire_stuck(Duration::ZERO);
-            }
+            self.r
+                .counts
+                .accumulate(Counts::read(self.life()), self.mark);
+            self.accounting = false;
+            self.restart_round()?;
+            self.mark = Counts::read(self.life());
+            self.accounting = true;
+            self.release(&mut all)?;
         }
         self.end_main();
         Ok(())
     }
 
-    /// Restart rounds over a seeded WAL, each followed by a few
-    /// closed-loop DHCP bindings on the recovered controller.
+    /// Restart rounds over a seeded WAL, each followed by a burst of DHCP
+    /// bindings on the recovered controller that are released again.
     fn restart_reconcile(&mut self) -> io::Result<()> {
         self.begin_main();
         let end = Instant::now() + secs(self.seconds);
         while Instant::now() < end {
             self.restart_round()?;
-            self.dhcp_checks()?;
+            let mut idle: Vec<usize> = (0..self.net.sw.len())
+                .flat_map(|sw| self.clients_on(sw, Phase::Idle))
+                .collect();
+            self.rng.shuffle(&mut idle);
+            idle.truncate(RESTART_BURST);
+            self.burst(&mut idle, true)?;
+            self.release(&mut idle)?;
         }
         self.end_main();
+        Ok(())
+    }
+
+    /// Every client in `set` (all idle) DISCOVERs at one seeded instant, in
+    /// a seeded order; returns once all of them are bound. `counted` bursts
+    /// give `tte` and `bind` samples, and on `flash_crowd` one
+    /// `bindings_per_s` figure.
+    fn burst(&mut self, set: &mut [usize], counted: bool) -> io::Result<()> {
+        let due = Instant::now() + secs(self.rng.range(BURST_GAP.0, BURST_GAP.1));
+        self.rng.shuffle(set);
+        self.wait_until(due)?;
+        if counted {
+            self.r.late_ms.push(ms(Instant::now() - due));
+        }
+        for &c in set.iter() {
+            self.r.attempted += 1;
+            self.measured[c] = counted;
+            self.net.start_binding(c, due);
+            self.net.settle();
+        }
+        let all_bound = |s: &Session| {
+            set.iter().all(|&c| {
+                let cl = &s.net.clients[c];
+                cl.phase == Phase::Bound && cl.acked
+            })
+        };
+        if !self.wait(BURST_DEADLINE, all_bound)? {
+            self.expire_stuck(Duration::ZERO);
+        }
+        if counted && self.workload == Workload::FlashCrowd {
+            let last = set
+                .iter()
+                .filter_map(|&c| self.net.clients[c].enforced_at)
+                .max();
+            if let Some(last) = last {
+                let wall = last.saturating_duration_since(due).as_secs_f64();
+                let w = self.window();
+                self.r.rates.push((w, self.r.rate_bindings as f64 / wall));
+            }
+        }
+        self.r.rate_bindings = 0;
+        Ok(())
+    }
+
+    /// Every bound client in `set` releases at one seeded instant, in a
+    /// seeded order; returns once all of them are idle.
+    fn release(&mut self, set: &mut [usize]) -> io::Result<()> {
+        let due = Instant::now() + secs(self.rng.range(RELEASE_GAP.0, RELEASE_GAP.1));
+        self.rng.shuffle(set);
+        self.wait_until(due)?;
+        for &c in set.iter() {
+            if self.net.clients[c].phase == Phase::Bound {
+                self.net.release(c);
+                self.net.settle();
+            }
+        }
+        let all_idle = |s: &Session| set.iter().all(|&c| s.net.clients[c].phase == Phase::Idle);
+        if !self.wait(BURST_DEADLINE, all_idle)? {
+            self.expire_stuck(Duration::ZERO);
+        }
         Ok(())
     }
 
@@ -969,43 +1041,6 @@ impl Session {
         }
         Ok(())
     }
-
-    /// Closed-loop DHCP bindings (bind, probe, release) on the recovered
-    /// controller.
-    fn dhcp_checks(&mut self) -> io::Result<()> {
-        for _ in 0..CHECKS_PER_ROUND {
-            let idle: Vec<usize> = (0..self.net.sw.len())
-                .flat_map(|sw| self.clients_on(sw, Phase::Idle))
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
-            let c = idle[self.rng.below(idle.len())];
-            let due = Instant::now() + secs(self.rng.range(CHECK_GAP.0, CHECK_GAP.1));
-            self.wait_until(due)?;
-            self.r.late_ms.push(ms(Instant::now() - due));
-            self.r.attempted += 1;
-            self.measured[c] = true;
-            self.net.start_binding(c, due);
-            self.net.settle();
-            let bound = self.wait(ENFORCE_DEADLINE, |s| {
-                let cl = &s.net.clients[c];
-                cl.phase == Phase::Bound && cl.acked
-            })?;
-            if !bound {
-                self.r.unenforced += 1;
-                self.net.set_phase(c, Phase::Idle);
-                continue;
-            }
-            self.net.release(c);
-            self.net.settle();
-            if !self.wait(ENFORCE_DEADLINE, |s| s.net.clients[c].phase == Phase::Idle)? {
-                self.r.unenforced += 1;
-                self.net.set_phase(c, Phase::Idle);
-            }
-        }
-        Ok(())
-    }
 }
 
 // ---- report ---------------------------------------------------------------
@@ -1027,11 +1062,11 @@ fn p99(v: &[f64]) -> f64 {
 fn end_to_end(r: &Results) -> Vec<Metric> {
     vec![
         m("setup_s", median(&r.setup_s), "s"),
-        m("tte_p50_ms", median(&r.calm(&r.tte_ms)), "ms"),
-        m("bind_p50_ms", median(&r.calm(&r.bind_ms)), "ms"),
+        m("tte_p50_ms", median(&r.calm(r.tte_ms.kept())), "ms"),
+        m("bind_p50_ms", median(&r.calm(r.bind_ms.kept())), "ms"),
         m("bindings_per_s", median(&r.calm(&r.rates)), "1/s"),
         m("recovery_ms", median(&r.calm(&r.recovery_ms)), "ms"),
-        m("rss_mb", sys::peak_rss_mb(), "MB"),
+        m("rss_mb", r.rss_mb, "MB"),
     ]
 }
 
@@ -1054,14 +1089,14 @@ fn per_layer(a: &Results, b: &Results, layers: &replay::LayerTimes) -> Vec<Metri
         .flat_map(|t| t.stages.iter().map(|s| s.1))
         .sum();
     let total: f64 = b.traces.iter().map(|t| t.total_ns).sum();
-    let untraced = median(&a.calm(&a.tte_ms));
+    let untraced = median(&a.calm(a.tte_ms.kept()));
     let fail_frac = ratio(
         (a.failed() + b.failed()) as f64,
         (a.attempted + b.attempted) as f64,
     );
     vec![
-        m("tte_p99_ms", p99(&a.calm(&a.tte_ms)), "ms"),
-        m("bind_p99_ms", p99(&a.calm(&a.bind_ms)), "ms"),
+        m("tte_p99_ms", p99(&a.calm(a.tte_ms.kept())), "ms"),
+        m("bind_p99_ms", p99(&a.calm(a.bind_ms.kept())), "ms"),
         m(
             "store.wal_fsync_us_p50",
             stage_p(&b.traces, "wal_fsync", 0.5),
@@ -1124,7 +1159,7 @@ fn per_layer(a: &Results, b: &Results, layers: &replay::LayerTimes) -> Vec<Metri
         m("obs.stage_coverage", ratio(covered, total), "fraction"),
         m(
             "obs.trace_overhead_frac",
-            ratio(median(&b.calm(&b.tte_ms)) - untraced, untraced),
+            ratio(median(&b.calm(b.tte_ms.kept())) - untraced, untraced),
             "fraction",
         ),
         m("bench.gen_late_p99_ms", p99(&a.late_ms), "ms"),
@@ -1133,7 +1168,7 @@ fn per_layer(a: &Results, b: &Results, layers: &replay::LayerTimes) -> Vec<Metri
             ratio(a.bench_cpu_ns as f64 / 1e9, a.main_wall_s),
             "fraction",
         ),
-        m("bench.tte_samples", a.tte_ms.len() as f64, "count"),
+        m("bench.tte_samples", a.tte_ms.seen() as f64, "count"),
         m("bench.cpu_steal_frac", a.steal_frac, "fraction"),
         m("fail_frac", fail_frac, "fraction"),
     ]
@@ -1179,8 +1214,8 @@ fn check(r: &Results, channel_errors: u64, label: &str) -> bool {
     println!(
         "{label}: samples tte {} bind {} recovery {} setup {}; generator late p99 {late:.4} ms; \
          server busy {:.3}, bench busy {:.3}, CPU steal {:.3}",
-        r.tte_ms.len(),
-        r.bind_ms.len(),
+        r.tte_ms.seen(),
+        r.bind_ms.seen(),
         r.recovery_ms.len(),
         r.setup_s.len(),
         ratio(r.counts.server_cpu_ns as f64 / 1e9, r.main_wall_s),

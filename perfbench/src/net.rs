@@ -111,11 +111,25 @@ pub struct Capture {
     /// Decoded FLOW_MODs the controller sent.
     pub flow_mods: Vec<(Message, u32)>,
     /// Raw controller→switch read chunks with their switch, as the
-    /// socket delivered them.
+    /// socket delivered them. An empty chunk marks a new connection.
     pub chunks: Vec<(usize, Vec<u8>)>,
     chunk_bytes: usize,
+    /// A chunk did not fit in `CAPTURE_MAX_BYTES`; no later chunk is kept,
+    /// so the kept streams have no gaps.
+    chunks_full: bool,
     /// Probe frames with their switch and ingress port.
     pub probes: Vec<(usize, u32, Vec<u8>)>,
+}
+
+impl Capture {
+    fn chunk(&mut self, sw: usize, bytes: &[u8]) {
+        if self.chunks_full || self.chunk_bytes + bytes.len() > CAPTURE_MAX_BYTES {
+            self.chunks_full = true;
+            return;
+        }
+        self.chunks.push((sw, bytes.to_vec()));
+        self.chunk_bytes += bytes.len();
+    }
 }
 
 /// Verdicts for one binding's three probes.
@@ -295,6 +309,9 @@ impl Net {
             });
             let hello = s.core.on_control_reconnect();
             self.send_up(i, hello);
+            if let Some(cap) = &mut self.capture {
+                cap.chunk(i, &[]);
+            }
         }
         self.flush();
         Ok(())
@@ -370,10 +387,7 @@ impl Net {
                 }
             };
             if let Some(cap) = &mut self.capture {
-                if cap.chunk_bytes + n <= CAPTURE_MAX_BYTES {
-                    cap.chunks.push((i, self.buf[..n].to_vec()));
-                    cap.chunk_bytes += n;
-                }
+                cap.chunk(i, &self.buf[..n]);
             }
             if conn.deframer.push(&self.buf[..n]).is_err() {
                 self.channel_errors += 1;

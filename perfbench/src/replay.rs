@@ -72,12 +72,17 @@ pub fn replay(cap: &Capture, tables: &mut [FlowTable]) -> LayerTimes {
             black_box(black_box(m).encode(*xid));
         }
     });
-    // One deframer per switch stream: a read chunk may end mid-message.
+    // One deframer per switch connection: a read chunk may end
+    // mid-message, and an empty chunk starts the next connection.
     let deframe = || {
         let mut dfs = [Deframer::new(), Deframer::new()];
         let mut n = 0usize;
         for (sw, chunk) in &cap.chunks {
             let df = &mut dfs[*sw];
+            if chunk.is_empty() {
+                *df = Deframer::new();
+                continue;
+            }
             df.push(black_box(chunk)).expect("captured stream deframes");
             while let Ok(Some(m)) = df.next_message() {
                 black_box(m);

@@ -26,6 +26,72 @@ pub fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Samples kept per `Samples` buffer.
+const SAMPLE_CAP: usize = 1 << 16;
+
+/// Samples tagged with the steal window they were taken in, in a buffer
+/// of fixed size that is allocated and written once up front. The bench's
+/// own memory therefore does not grow with the work a run completes, and
+/// `rss_mb` does not move with throughput. When the buffer is full, every
+/// other kept sample is dropped and from then on only every `stride`-th
+/// sample is kept, so the kept ones still cover the whole run evenly.
+pub struct Samples {
+    kept: Vec<(usize, f64)>,
+    cap: usize,
+    stride: u64,
+    seen: u64,
+}
+
+impl Samples {
+    pub fn with_capacity(cap: usize) -> Samples {
+        let mut kept = Vec::with_capacity(cap);
+        // Fault every page in now, not as the run fills the buffer.
+        kept.resize(cap, (0, 0.0));
+        kept.clear();
+        Samples {
+            kept,
+            cap,
+            stride: 1,
+            seen: 0,
+        }
+    }
+
+    pub fn push(&mut self, window: usize, x: f64) {
+        let i = self.seen;
+        self.seen += 1;
+        if !i.is_multiple_of(self.stride) {
+            return;
+        }
+        if self.kept.len() == self.cap {
+            let mut k = 0;
+            self.kept.retain(|_| {
+                k += 1;
+                k % 2 == 1
+            });
+            self.stride *= 2;
+            if !i.is_multiple_of(self.stride) {
+                return;
+            }
+        }
+        self.kept.push((window, x));
+    }
+
+    pub fn kept(&self) -> &[(usize, f64)] {
+        &self.kept
+    }
+
+    /// Samples pushed, kept or not.
+    pub fn seen(&self) -> u64 {
+        self.seen
+    }
+}
+
+impl Default for Samples {
+    fn default() -> Samples {
+        Samples::with_capacity(SAMPLE_CAP)
+    }
+}
+
 /// SplitMix64: small, seedable, and identical on every platform.
 pub struct Rng(u64);
 
@@ -81,6 +147,18 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 4.0);
         assert_eq!(median(&v), 2.5);
         assert!(quantile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn full_samples_thin_out_evenly() {
+        let mut s = Samples::with_capacity(4);
+        for i in 0..11 {
+            s.push(0, i as f64);
+        }
+        // Full at 4: keep 0, 2, then every 2nd; full again: every 4th.
+        let kept: Vec<f64> = s.kept().iter().map(|&(_, x)| x).collect();
+        assert_eq!(kept, [0.0, 4.0, 8.0]);
+        assert_eq!(s.seen(), 11);
     }
 
     #[test]
