@@ -190,6 +190,7 @@ fn measure_takeover() -> f64 {
             }))
             .unwrap();
     }
+    store.commit().unwrap();
     drop(store);
 
     let config = SavConfig {

@@ -13,8 +13,8 @@
 //!   existing deframer via [`Controller::on_bytes`], with a per-wakeup
 //!   read cap so one firehose switch cannot starve 9,999 quiet ones.
 //! * **Single-writer rule**: only the loop thread writes sockets. Frames
-//!   queue in a per-connection [`Outbox`] drained with vectored `writev`;
-//!   `WouldBlock` arms write interest and a stall deadline — a switch
+//!   queue in a per-connection [`Outbox`] drained with vectored `writev`,
+//!   once per connection per controller output batch; `WouldBlock` arms write interest and a stall deadline — a switch
 //!   that stops reading gets its connection killed, never the whole
 //!   control plane wedged.
 //! * **Timer wheel**: per-connection ECHO keepalives and liveness
@@ -579,9 +579,19 @@ impl EventLoop {
     // ---- write path -----------------------------------------------------
 
     /// Route a controller output batch: writes, echo RTT samples, hangups.
+    /// Every frame is queued first and each connection the batch touched
+    /// is then drained once, so a batch costs one `writev` per switch.
     fn dispatch(&mut self, out: ControllerOutput) {
+        let mut touched: Vec<usize> = Vec::new();
         for (conn, bytes) in out.to_switch {
-            self.queue_write(conn, bytes);
+            if let Some(key) = self.enqueue(conn, bytes) {
+                if !touched.contains(&key) {
+                    touched.push(key);
+                }
+            }
+        }
+        for key in touched {
+            self.drain_outbox(key);
         }
         for (conn, payload) in out.echo_replies {
             if let Some(sent_us) = decode_echo_payload(&payload) {
@@ -604,18 +614,23 @@ impl EventLoop {
         }
     }
 
+    /// Queue one frame and write it out now.
     fn queue_write(&mut self, conn: ConnId, bytes: Vec<u8>) {
-        let Some(&key) = self.by_conn.get(&conn) else {
-            return;
-        };
-        let Some(io) = self.conns.get_mut(key) else {
-            return;
-        };
+        if let Some(key) = self.enqueue(conn, bytes) {
+            self.drain_outbox(key);
+        }
+    }
+
+    /// Push one frame onto `conn`'s outbox without writing; returns the
+    /// connection's slab key (`None` for a connection already gone).
+    fn enqueue(&mut self, conn: ConnId, bytes: Vec<u8>) -> Option<usize> {
+        let key = *self.by_conn.get(&conn)?;
+        let io = self.conns.get_mut(key)?;
         io.metrics.add_msgs_out(1);
         self.backlog_bytes += bytes.len() as u64;
         io.outbox.push(bytes);
         io.metrics.observe_queue_depth(io.outbox.frame_count());
-        self.drain_outbox(key);
+        Some(key)
     }
 
     /// Writable readiness for an armed connection.

@@ -348,7 +348,8 @@ impl Core {
             return false;
         }
         if let Some(store) = &mut self.store {
-            if let Err(e) = store.append(op) {
+            // Durable before it is counted as applied, like any commit.
+            if let Err(e) = store.append(op).and_then(|()| store.commit().map(drop)) {
                 self.obs.event(
                     Severity::Error,
                     EventKind::WalError {
@@ -1010,6 +1011,7 @@ mod tests {
         for i in 1..=3 {
             store.append(&WalOp::Upsert(rec(i))).unwrap();
         }
+        store.commit().unwrap();
         wait_until("standby to replicate 3 records", || h2.seq() == 3);
         assert_eq!(h2.bindings().len(), 3);
         assert_eq!(h2.bindings(), h1.bindings());
@@ -1033,6 +1035,7 @@ mod tests {
         let mut store = promote(&h1);
         store.append(&WalOp::Upsert(rec(1))).unwrap();
         store.append(&WalOp::Upsert(rec(2))).unwrap();
+        store.commit().unwrap();
         wait_until("replication", || h2.seq() == 2);
 
         // Kill the leader: the standby must claim a strictly newer
@@ -1069,6 +1072,7 @@ mod tests {
         for i in 1..=5 {
             store.append(&WalOp::Upsert(rec(i))).unwrap();
         }
+        store.commit().unwrap();
         assert_eq!(h1.seq(), 5);
 
         // A brand-new standby joins at have_seq 0, far behind the 2-record
@@ -1083,6 +1087,7 @@ mod tests {
         store
             .append(&WalOp::Remove(Ipv4Addr::new(10, 0, 0, 3)))
             .unwrap();
+        store.commit().unwrap();
         wait_until("live tail after image", || h2.seq() == 6);
         drop(h2);
         let reopened = BindingStore::open(&dir2, StoreConfig::default()).unwrap();
@@ -1147,6 +1152,7 @@ mod tests {
         // And it tracks the leader's new commits from there.
         let mut store = promote(&h1);
         store.append(&WalOp::Upsert(rec(2))).unwrap();
+        store.commit().unwrap();
         wait_until("post-truncation streaming", || h2.seq() == 2);
         assert_eq!(h2.bindings(), h1.bindings());
 

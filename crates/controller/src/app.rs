@@ -13,12 +13,37 @@ use sav_openflow::messages::{
 };
 use sav_openflow::prelude::Action;
 use sav_sim::SimTime;
+use std::sync::Arc;
+
+/// Work that must finish before output derived from it leaves the
+/// controller: in practice a WAL group commit, so that no flow rule
+/// outruns the durable record that justifies it. Implementors count and
+/// report their own failures; the output leaves either way.
+pub trait Commit: Send + Sync {
+    /// Make everything staged so far durable.
+    fn commit(&self);
+}
+
+/// Run each handle once, in registration order.
+pub(crate) fn run_commits(commits: &mut Vec<Arc<dyn Commit>>) {
+    for c in commits.drain(..) {
+        c.commit();
+    }
+}
+
+/// Add `c` to `commits` unless the same handle is already there.
+pub(crate) fn add_commit(commits: &mut Vec<Arc<dyn Commit>>, c: Arc<dyn Commit>) {
+    if !commits.iter().any(|h| Arc::ptr_eq(h, &c)) {
+        commits.push(c);
+    }
+}
 
 /// Handle through which apps talk to switches during one event dispatch.
 pub struct Ctx {
     now: SimTime,
     out: Vec<(u64, Message)>,
     traced_barriers: Vec<(u64, TraceId)>,
+    commits: Vec<Arc<dyn Commit>>,
 }
 
 impl Ctx {
@@ -28,7 +53,16 @@ impl Ctx {
             now,
             out: Vec::new(),
             traced_barriers: Vec::new(),
+            commits: Vec::new(),
         }
+    }
+
+    /// Require `c` to run before any message queued here leaves the
+    /// controller. The controller runs each distinct handle once per
+    /// batch (everything one read decodes), so N records staged in one
+    /// batch share one commit. Registering a handle again is a no-op.
+    pub fn commit_before_send(&mut self, c: Arc<dyn Commit>) {
+        add_commit(&mut self.commits, c);
     }
 
     /// Current virtual time.
@@ -81,18 +115,27 @@ impl Ctx {
         self.send(dpid, Message::BarrierRequest);
     }
 
-    /// Drain queued messages (used by the controller core). Trace tags are
-    /// dropped — harnesses driving apps directly have no barrier replies
-    /// to correlate anyway.
-    pub fn take(self) -> Vec<(u64, Message)> {
+    /// Run the registered commits, then drain the queued messages: the
+    /// entry point for harnesses that drive apps directly, which so stay
+    /// durable per dispatch. Trace tags are dropped, since such harnesses
+    /// have no barrier replies to correlate anyway.
+    pub fn take(mut self) -> Vec<(u64, Message)> {
+        run_commits(&mut self.commits);
         self.out
     }
 
-    /// Drain queued messages plus the barrier trace tags, in barrier
-    /// emission order per dpid.
+    /// Split into queued messages, barrier trace tags (in barrier emission
+    /// order per dpid) and the commits still to run. For the controller
+    /// core, which defers the commits to the end of the batch.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn take_traced(self) -> (Vec<(u64, Message)>, Vec<(u64, TraceId)>) {
-        (self.out, self.traced_barriers)
+    pub(crate) fn into_parts(
+        self,
+    ) -> (
+        Vec<(u64, Message)>,
+        Vec<(u64, TraceId)>,
+        Vec<Arc<dyn Commit>>,
+    ) {
+        (self.out, self.traced_barriers, self.commits)
     }
 
     /// Number of queued messages so far.
@@ -193,5 +236,31 @@ mod tests {
         };
         assert_eq!(n.on_packet_in(&mut ctx, 1, &pi), Disposition::Continue);
         assert_eq!(ctx.pending(), 0);
+    }
+
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl Commit for Counting {
+        fn commit(&self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn take_runs_each_distinct_commit_once_before_returning() {
+        let c = Arc::new(Counting(Default::default()));
+        let runs = || c.0.load(std::sync::atomic::Ordering::SeqCst);
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        ctx.install(1, FlowMod::add(OxmMatch::new()));
+        ctx.commit_before_send(c.clone());
+        ctx.commit_before_send(c.clone());
+        assert_eq!(runs(), 0, "registering does not commit");
+        let msgs = ctx.take();
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(
+            runs(),
+            1,
+            "one run per distinct handle, before take returns"
+        );
     }
 }

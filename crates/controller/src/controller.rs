@@ -6,14 +6,20 @@
 //! handshake (HELLO → FEATURES_REQUEST → FEATURES_REPLY) runs here; once a
 //! connection is `Ready`, its datapath id is known and events flow to apps.
 
-use crate::app::{App, Ctx, Disposition};
+use crate::app::{add_commit, run_commits, App, Commit, Ctx, Disposition};
 use sav_obs::{EventKind, Obs, Severity, TraceId};
 use sav_openflow::consts::error_type;
 use sav_openflow::error::CodecError;
 use sav_openflow::framing::Deframer;
-use sav_openflow::messages::{ControllerRole, Message, RoleMsg};
+use sav_openflow::messages::{ControllerRole, Message, MultipartReplyBody, RoleMsg};
 use sav_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// Parts one multipart reply may span before the controller gives up on
+/// reassembling it (at most 64 KiB each), so a peer that never sends the
+/// final part cannot grow memory without bound.
+const MAX_REPLY_PARTS: usize = 256;
 
 /// Connection identifier (assigned by the embedding I/O layer).
 pub type ConnId = usize;
@@ -93,6 +99,12 @@ pub struct Controller {
     /// Outstanding traced barriers: `(conn, xid)` of a `BarrierRequest`
     /// carrying a causal trace, waiting for its `BarrierReply`.
     pending_barriers: HashMap<(ConnId, u32), TraceId>,
+    /// Commits registered by apps during the current batch; each runs
+    /// once before the batch's output is returned.
+    pending_commits: Vec<Arc<dyn Commit>>,
+    /// Multipart replies still arriving in REPLY_MORE parts, by
+    /// `(conn, xid)`, with the number of parts so far.
+    partial_replies: HashMap<(ConnId, u32), (MultipartReplyBody, usize)>,
     /// Counters for the evaluation harness.
     pub stats: ControllerStats,
 }
@@ -108,6 +120,8 @@ impl Controller {
             master_generation: None,
             obs: None,
             pending_barriers: HashMap::new(),
+            pending_commits: Vec::new(),
+            partial_replies: HashMap::new(),
             stats: ControllerStats::default(),
         }
     }
@@ -190,6 +204,7 @@ impl Controller {
                 }
             }
         }
+        self.partial_replies.retain(|k, _| k.0 != conn);
         if let Some(c) = self.conns.remove(&conn) {
             if let ConnState::Ready { dpid } = c.state {
                 self.dpid_to_conn.remove(&dpid);
@@ -200,10 +215,16 @@ impl Controller {
                 self.flush(ctx, &mut out);
             }
         }
+        self.run_commits();
         out
     }
 
     /// Feed bytes received on `conn`. Codec failures poison the connection.
+    ///
+    /// Every message the bytes complete is dispatched, and the commits the
+    /// apps registered while handling them run once, after the last
+    /// message and before the output is returned: one group commit per
+    /// read, however many bindings it carried.
     pub fn on_bytes(
         &mut self,
         now: SimTime,
@@ -227,6 +248,7 @@ impl Controller {
             self.stats.rx_messages += 1;
             self.handle_message(now, conn, msg, xid, &mut out);
         }
+        self.run_commits();
         Ok(out)
     }
 
@@ -356,11 +378,21 @@ impl Controller {
                     Message::Error(_) => {
                         self.stats.errors += 1;
                     }
-                    Message::MultipartReply(body) => {
-                        for app in &mut self.apps {
-                            app.on_stats_reply(&mut ctx, dpid, body);
+                    Message::MultipartReplyMore(part) => {
+                        let ok = self.collect_part(conn, xid, part.clone());
+                        if !ok {
+                            out.hangups.push(conn);
                         }
                     }
+                    Message::MultipartReply(last) => match self.reassemble(conn, xid, last) {
+                        Ok(merged) => {
+                            let body = merged.as_ref().unwrap_or(last);
+                            for app in &mut self.apps {
+                                app.on_stats_reply(&mut ctx, dpid, body);
+                            }
+                        }
+                        Err(()) => out.hangups.push(conn),
+                    },
                     Message::BarrierReply => {
                         // A traced barrier coming home closes its causal
                         // trace: the switch has processed every flow-mod
@@ -380,6 +412,47 @@ impl Controller {
             // Anything unexpected during handshake: ignore (a resilient
             // controller does not crash on stray messages).
             _ => {}
+        }
+    }
+
+    /// Buffer a non-final multipart part until the final one arrives.
+    /// Returns `false` for a protocol violation: a part of another kind
+    /// than the ones before it, or one past [`MAX_REPLY_PARTS`].
+    fn collect_part(&mut self, conn: ConnId, xid: u32, part: MultipartReplyBody) -> bool {
+        use std::collections::hash_map::Entry;
+        match self.partial_replies.entry((conn, xid)) {
+            Entry::Vacant(v) => {
+                v.insert((part, 1));
+                true
+            }
+            Entry::Occupied(mut o) => {
+                let (body, parts) = o.get_mut();
+                *parts += 1;
+                let ok = *parts <= MAX_REPLY_PARTS && body.extend(part);
+                if !ok {
+                    o.remove();
+                }
+                ok
+            }
+        }
+    }
+
+    /// The reply a final part completes: `None` when the part stands
+    /// alone, the reassembled body when it ends earlier REPLY_MORE parts,
+    /// and `Err` when it is of another kind than they were.
+    fn reassemble(
+        &mut self,
+        conn: ConnId,
+        xid: u32,
+        last: &MultipartReplyBody,
+    ) -> Result<Option<MultipartReplyBody>, ()> {
+        let Some((mut body, _)) = self.partial_replies.remove(&(conn, xid)) else {
+            return Ok(None);
+        };
+        if body.extend(last.clone()) {
+            Ok(Some(body))
+        } else {
+            Err(())
         }
     }
 
@@ -412,11 +485,14 @@ impl Controller {
             }
         }
         self.flush(ctx, &mut out);
+        self.run_commits();
         out
     }
 
     /// Let an external driver (the testbed command layer or tests) inject
     /// messages to switches through the app-visible path, e.g. to seed rules.
+    /// Messages taken from a [`Ctx`] with [`Ctx::take`] were committed
+    /// there, so nothing is left to commit here.
     pub fn send_all(&mut self, msgs: Vec<(u64, Message)>, out: &mut ControllerOutput) {
         self.send_tagged(msgs, Vec::new(), out);
     }
@@ -474,9 +550,21 @@ impl Controller {
         self.flush(ctx, out);
     }
 
+    /// Encode a dispatch's messages into `out` and hold its commits for
+    /// the end of the batch.
     fn flush(&mut self, ctx: Ctx, out: &mut ControllerOutput) {
-        let (msgs, traced) = ctx.take_traced();
+        let (msgs, traced, commits) = ctx.into_parts();
         self.send_tagged(msgs, traced, out);
+        for c in commits {
+            add_commit(&mut self.pending_commits, c);
+        }
+    }
+
+    /// Run the batch's commits, each distinct handle once. Every entry
+    /// point that dispatches to apps calls this last, so no message leaves
+    /// before the records it derives from are durable.
+    fn run_commits(&mut self) {
+        run_commits(&mut self.pending_commits);
     }
 
     /// Run a closure against the first app of concrete type `A` (state
@@ -675,6 +763,107 @@ mod tests {
             data: vec![1, 2, 3, 4],
         };
         Message::PacketIn(pi).encode(901)
+    }
+
+    /// Counts the commits run through it.
+    struct Counting {
+        runs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Commit for Counting {
+        fn commit(&self) {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Installs a flow per packet-in and asks for the shared commit.
+    struct Journaling(Arc<Counting>);
+
+    impl App for Journaling {
+        fn name(&self) -> &'static str {
+            "journaling"
+        }
+        fn on_packet_in(
+            &mut self,
+            ctx: &mut Ctx,
+            dpid: u64,
+            _pi: &sav_openflow::messages::PacketIn,
+        ) -> Disposition {
+            ctx.install(dpid, sav_openflow::messages::FlowMod::add(OxmMatch::new()));
+            ctx.commit_before_send(self.0.clone());
+            Disposition::Continue
+        }
+        fn on_poll(&mut self, ctx: &mut Ctx, _dpid: u64) {
+            ctx.commit_before_send(self.0.clone());
+        }
+    }
+
+    #[test]
+    fn one_read_runs_each_commit_once_before_returning() {
+        let c = Arc::new(Counting {
+            runs: Default::default(),
+        });
+        let runs = || c.runs.load(std::sync::atomic::Ordering::SeqCst);
+        let mut ctrl = Controller::new(vec![Box::new(Journaling(c.clone()))]);
+        let mut sw = mk_switch(6);
+        converge(&mut ctrl, &mut sw, 0);
+        assert_eq!(runs(), 0);
+
+        let chunk: Vec<u8> = (0..5).flat_map(|_| packet_in_bytes()).collect();
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &chunk).unwrap();
+        assert_eq!(out.to_switch.len(), 5, "every packet-in's flow-mod");
+        assert_eq!(runs(), 1, "five dispatches, one commit, before return");
+
+        ctrl.poll_tick(SimTime::ZERO);
+        assert_eq!(runs(), 2, "poll ticks commit too");
+        ctrl.on_bytes(SimTime::ZERO, 0, &Message::BarrierReply.encode(77))
+            .unwrap();
+        assert_eq!(runs(), 2, "a batch that registers nothing commits nothing");
+    }
+
+    #[test]
+    fn reply_more_parts_reach_apps_as_one_reply() {
+        struct StatsProbe(Vec<usize>);
+        impl App for StatsProbe {
+            fn name(&self) -> &'static str {
+                "stats"
+            }
+            fn on_stats_reply(&mut self, _ctx: &mut Ctx, _dpid: u64, body: &MultipartReplyBody) {
+                if let MultipartReplyBody::PortDesc(p) = body {
+                    self.0.push(p.len());
+                }
+            }
+        }
+        let mut ctrl = Controller::new(vec![Box::new(StatsProbe(vec![]))]);
+        let mut sw = mk_switch(8);
+        converge(&mut ctrl, &mut sw, 0);
+        let ports = |n: u32| {
+            MultipartReplyBody::PortDesc(
+                (1..=n)
+                    .map(|p| PortDesc::new(p, MacAddr::from_index(u64::from(p))))
+                    .collect(),
+            )
+        };
+        let parts = [
+            Message::MultipartReplyMore(ports(2)).encode(40),
+            Message::MultipartReplyMore(ports(3)).encode(40),
+            Message::MultipartReply(ports(1)).encode(40),
+        ];
+        for p in &parts {
+            ctrl.on_bytes(SimTime::ZERO, 0, p).unwrap();
+        }
+        ctrl.with_app::<StatsProbe, _>(|p| assert_eq!(p.0, vec![6]));
+        // A final part of another kind than its predecessors is a
+        // protocol violation: hang up, dispatch nothing.
+        ctrl.on_bytes(SimTime::ZERO, 0, &parts[0]).unwrap();
+        let mixed = Message::MultipartReply(MultipartReplyBody::Table(vec![])).encode(40);
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &mixed).unwrap();
+        assert_eq!(out.hangups, vec![0]);
+        ctrl.with_app::<StatsProbe, _>(|p| assert_eq!(p.0, vec![6]));
+        // A disconnect mid-reply forgets the parts.
+        ctrl.on_bytes(SimTime::ZERO, 0, &parts[0]).unwrap();
+        ctrl.on_disconnect(SimTime::ZERO, 0);
+        assert!(ctrl.partial_replies.is_empty());
     }
 
     #[test]

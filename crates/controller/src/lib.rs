@@ -34,7 +34,7 @@ pub mod apps;
 pub mod controller;
 pub mod testbed;
 
-pub use app::{App, Ctx};
+pub use app::{App, Commit, Ctx};
 pub use controller::{ConnId, Controller, ControllerOutput, ControllerStats};
 pub use testbed::{Testbed, TestbedCmd, TestbedConfig, TestbedReport};
 

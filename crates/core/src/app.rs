@@ -7,13 +7,15 @@
 //! retires state when rules time out or ports die.
 //!
 //! With a [`BindingStore`] attached ([`SavApp::with_store`]) the table is
-//! durable: every mutation appends a WAL record before the derived rule
-//! change ships, and after a controller restart the recovered table is
-//! *reconciled* against each switch's installed SAV rules (flow-stats diff
+//! durable: every mutation stages a WAL record and registers the store's
+//! group commit on the dispatch, which makes the record durable before the
+//! derived rule change ships. After a controller restart the recovered
+//! table is *reconciled* against each switch's installed SAV rules (flow-stats diff
 //! by cookie) instead of blindly re-pushed — strays deleted, missing rules
 //! installed, matching rules kept with their switch-side timers intact.
 
 use crate::binding::{Binding, BindingChange, BindingSource, BindingTable};
+use crate::commit::WalCommitter;
 use crate::compiler::{self, RuleCompiler};
 use crate::rules;
 use crate::{SAV_COOKIE, SAV_COOKIE_MASK};
@@ -257,6 +259,9 @@ pub struct SavApp {
     pub stats: SavStats,
     /// Durable store; every binding mutation is WAL-logged when present.
     store: Option<BindingStore>,
+    /// Group commit for `store`'s staged records, registered on every
+    /// dispatch that journals.
+    committer: Option<Arc<WalCommitter>>,
     /// True when this app was hydrated from a store — switch-ups then
     /// reconcile against installed rules instead of blindly re-pushing.
     recovered: bool,
@@ -306,6 +311,7 @@ impl SavApp {
             trunks,
             stats: SavStats::default(),
             store: None,
+            committer: None,
             recovered: false,
             reconciling: HashSet::new(),
             counters: Counters::new(),
@@ -333,7 +339,20 @@ impl SavApp {
             store.set_obs(obs.clone());
         }
         self.obs = Some(obs);
+        self.attach_committer();
         self.refresh_gauges();
+    }
+
+    /// (Re)build the committer over the store's commit handle, so it sees
+    /// the current counters and observability handle.
+    fn attach_committer(&mut self) {
+        self.committer = self.store.as_ref().map(|store| {
+            Arc::new(WalCommitter::new(
+                store.commit_handle(),
+                self.counters.clone(),
+                self.obs.clone(),
+            ))
+        });
     }
 
     /// Build the app over a durable [`BindingStore`], hydrating the binding
@@ -350,6 +369,7 @@ impl SavApp {
         app.counters
             .add("recovered_bindings", app.bindings.len() as u64);
         app.store = Some(store);
+        app.attach_committer();
         app.recovered = true;
         app
     }
@@ -383,7 +403,7 @@ impl SavApp {
     /// a covered block splits the cover. Returns the removed binding.
     pub fn release_binding(&mut self, ctx: &mut Ctx, ip: Ipv4Addr) -> Option<Binding> {
         let b = self.bindings.remove(ip)?;
-        self.log_op(WalOp::Remove(ip));
+        self.log_op(ctx, WalOp::Remove(ip));
         self.emit(Severity::Info, || EventKind::BindingExpired {
             ip: ip.to_string(),
             dpid: b.dpid,
@@ -405,7 +425,7 @@ impl SavApp {
         let dead = self.bindings.expire(now);
         let n = dead.len();
         for b in dead {
-            self.log_op(WalOp::Expire(b.ip));
+            self.log_op(ctx, WalOp::Expire(b.ip));
             self.stats.bindings_expired += 1;
             self.emit(Severity::Info, || EventKind::BindingExpired {
                 ip: b.ip.to_string(),
@@ -426,28 +446,34 @@ impl SavApp {
         self.compiler.installed_total()
     }
 
-    /// Append one op to the WAL (no-op without a store). Append failures
-    /// are counted, not fatal: enforcement must survive a full disk.
-    fn log_op(&mut self, op: WalOp) {
-        let _trace = if self.store.is_some() {
-            self.trace_stage("wal_fsync")
-        } else {
-            None
+    /// Stage one op in the WAL (no-op without a store) and make `ctx`
+    /// commit it before its output leaves. The active trace's `wal_fsync`
+    /// stage is the commit it waits for, settled when that commit runs.
+    /// Append failures are counted, not fatal: enforcement must survive a
+    /// full disk.
+    fn log_op(&mut self, ctx: &mut Ctx, op: WalOp) {
+        let (Some(store), Some(committer)) = (&mut self.store, &self.committer) else {
+            return;
         };
-        if let Some(store) = &mut self.store {
-            let _span = self.obs.as_ref().map(|o| o.span("wal_append"));
-            if store.append(&op).is_err() {
-                self.counters.incr("wal_append_errors");
-                if let Some(obs) = &self.obs {
-                    obs.event(
-                        Severity::Error,
-                        EventKind::WalError {
-                            op: format!("{op:?}"),
-                        },
-                    );
-                }
-            } else if let Some(obs) = &self.obs {
-                obs.gauges.set("sav_wal_bytes", store.wal_len() as f64);
+        let _span = self.obs.as_ref().map(|o| o.span("wal_append"));
+        if store.append(&op).is_err() {
+            self.counters.incr("wal_append_errors");
+            if let Some(obs) = &self.obs {
+                obs.event(
+                    Severity::Error,
+                    EventKind::WalError {
+                        op: format!("{op:?}"),
+                    },
+                );
+            }
+            return;
+        }
+        ctx.commit_before_send(committer.clone());
+        if let Some(obs) = &self.obs {
+            obs.gauges.set("sav_wal_bytes", store.wal_len() as f64);
+            if let Some((trace, _)) = self.active_trace {
+                obs.traces.stage_open(trace, "wal_fsync");
+                committer.await_commit(trace);
             }
         }
     }
@@ -850,7 +876,7 @@ impl SavApp {
         let change = self.bindings.upsert(b, now);
         match &change {
             BindingChange::Added => {
-                self.log_op(WalOp::Upsert(to_record(&b)));
+                self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                 self.stats.bindings_added += 1;
                 // Journaled before the derived rule install so the event
                 // order reads cause → effect.
@@ -866,14 +892,14 @@ impl SavApp {
             BindingChange::Refreshed => {
                 // Logged even though the location is unchanged: a refresh
                 // carries a new lease expiry that recovery must see.
-                self.log_op(WalOp::Upsert(to_record(&b)));
+                self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                 // Re-derive the port's rules: a refresh that changes no
                 // match field or lease emits nothing; a renewed lease
                 // re-Adds the same match, refreshing the hard timeout.
                 self.place_rules(ctx, &b, now);
             }
             BindingChange::Moved(old) => {
-                self.log_op(WalOp::Migrate(to_record(&b)));
+                self.log_op(ctx, WalOp::Migrate(to_record(&b)));
                 self.stats.bindings_moved += 1;
                 let old = *old;
                 self.emit(Severity::Info, || EventKind::BindingMigrated {
@@ -944,7 +970,7 @@ impl SavApp {
                         .filter(|b| b.mac == msg.client_mac)
                     {
                         self.bindings.remove(b.ip);
-                        self.log_op(WalOp::Remove(b.ip));
+                        self.log_op(ctx, WalOp::Remove(b.ip));
                         self.emit(Severity::Info, || EventKind::BindingExpired {
                             ip: b.ip.to_string(),
                             dpid: b.dpid,
@@ -1168,7 +1194,7 @@ impl App for SavApp {
                     .collect();
                 for b in seeds {
                     if matches!(self.bindings.upsert(b, now), BindingChange::Added) {
-                        self.log_op(WalOp::Upsert(to_record(&b)));
+                        self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                         self.stats.bindings_added += 1;
                     }
                 }
@@ -1224,7 +1250,7 @@ impl App for SavApp {
                 for b in &seeds {
                     by_port.entry(b.port).or_default().push(b.ip);
                     self.bindings.upsert(*b, now);
-                    self.log_op(WalOp::Upsert(to_record(b)));
+                    self.log_op(ctx, WalOp::Upsert(to_record(b)));
                     self.stats.bindings_added += 1;
                 }
                 for (port, ips) in by_port {
@@ -1239,7 +1265,7 @@ impl App for SavApp {
                     // One prefix rule per port, not per host.
                     let fresh = seen_ports.insert(b.port);
                     self.bindings.upsert(b, now);
-                    self.log_op(WalOp::Upsert(to_record(&b)));
+                    self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                     self.stats.bindings_added += 1;
                     if fresh {
                         self.install_allow(ctx, &b, now);
@@ -1251,7 +1277,7 @@ impl App for SavApp {
                 for b in seeds {
                     match self.bindings.upsert(b, now) {
                         BindingChange::Added => {
-                            self.log_op(WalOp::Upsert(to_record(&b)));
+                            self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                             self.stats.bindings_added += 1;
                             self.emit(Severity::Info, || EventKind::BindingLearned {
                                 ip: b.ip.to_string(),
@@ -1262,10 +1288,10 @@ impl App for SavApp {
                             });
                         }
                         BindingChange::Refreshed => {
-                            self.log_op(WalOp::Upsert(to_record(&b)));
+                            self.log_op(ctx, WalOp::Upsert(to_record(&b)));
                         }
                         BindingChange::Moved(old) => {
-                            self.log_op(WalOp::Migrate(to_record(&b)));
+                            self.log_op(ctx, WalOp::Migrate(to_record(&b)));
                             self.stats.bindings_moved += 1;
                             if old.dpid != dpid {
                                 let d = self.compiler.unbind(&old, now);
@@ -1377,7 +1403,7 @@ impl App for SavApp {
             };
             if retire {
                 self.bindings.remove(ip);
-                self.log_op(WalOp::Expire(ip));
+                self.log_op(ctx, WalOp::Expire(ip));
                 self.stats.bindings_expired += 1;
                 self.emit(Severity::Info, || EventKind::BindingExpired {
                     ip: ip.to_string(),
@@ -1421,7 +1447,7 @@ impl App for SavApp {
             .collect();
         for b in doomed {
             self.bindings.remove(b.ip);
-            self.log_op(WalOp::Remove(b.ip));
+            self.log_op(ctx, WalOp::Remove(b.ip));
             self.stats.bindings_expired += 1;
             self.emit(Severity::Info, || EventKind::BindingExpired {
                 ip: b.ip.to_string(),

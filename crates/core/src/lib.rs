@@ -40,6 +40,7 @@
 pub mod aggregate;
 pub mod app;
 pub mod binding;
+mod commit;
 pub mod compiler;
 pub mod poller;
 pub mod rules;

@@ -318,7 +318,7 @@ impl OpenFlowSwitch {
             }
             Message::MultipartRequest(body) => {
                 out.to_controller
-                    .push(self.handle_multipart(now, body, xid));
+                    .extend(self.handle_multipart(now, body, xid));
             }
             Message::BarrierRequest => {
                 out.to_controller.push(Message::BarrierReply.encode(xid));
@@ -331,6 +331,7 @@ impl OpenFlowSwitch {
             | Message::FlowRemoved(_)
             | Message::PortStatus(_)
             | Message::MultipartReply(_)
+            | Message::MultipartReplyMore(_)
             | Message::RoleReply(_)
             | Message::BarrierReply => {
                 out.to_controller.push(
@@ -513,7 +514,14 @@ impl OpenFlowSwitch {
         out
     }
 
-    fn handle_multipart(&mut self, now: SimTime, body: MultipartRequestBody, xid: u32) -> Vec<u8> {
+    /// Answer a multipart request: one reply message, or several
+    /// REPLY_MORE-chained parts when the body exceeds one message.
+    fn handle_multipart(
+        &mut self,
+        now: SimTime,
+        body: MultipartRequestBody,
+        xid: u32,
+    ) -> Vec<Vec<u8>> {
         let reply = match body {
             MultipartRequestBody::Flow(req) => {
                 let mut entries = Vec::new();
@@ -589,7 +597,7 @@ impl OpenFlowSwitch {
                 MultipartReplyBody::PortDesc(self.ports.values().cloned().collect())
             }
         };
-        Message::MultipartReply(reply).encode(xid)
+        reply.encode_parts(xid)
     }
 
     /// A frame arrives on `in_port`. Runs the pipeline from table 0.

@@ -2,9 +2,10 @@
 //! to the barrier ack that proves its SAV rule is enforced.
 //!
 //! A [`TraceId`] is minted when the controller decides a packet-in will
-//! become a binding, threaded through the upsert path (WAL fsync, rule
-//! compilation, flow-mod send), and closed when the barrier reply for the
-//! tagged `BarrierRequest` xid comes back. Each completed trace is a flat
+//! become a binding, threaded through the upsert path (rule compilation,
+//! flow-mod send, and the WAL group commit the batch waits for — see
+//! [`TraceCollector::settle_commit`]), and closed when the barrier reply
+//! for the tagged `BarrierRequest` xid comes back. Each completed trace is a flat
 //! span tree — one [`TraceStage`] per pipeline stage with start/end
 //! nanoseconds relative to the collector's epoch — kept in a bounded ring
 //! and served as JSONL at `/traces?n=`. The trace total feeds the headline
@@ -200,6 +201,31 @@ impl TraceCollector {
         }
     }
 
+    /// The WAL group commit covering trace `id` ran over
+    /// `[start_ns, end_ns]`. The trace's `wal_fsync` stage (opened when its
+    /// record was staged) becomes that interval; its `send` stage, whose
+    /// output the controller held until the commit, ends at `start_ns`;
+    /// and its open `barrier_ack` stage, whose barrier could not leave
+    /// before the commit, starts at `end_ns`. The stages keep tiling the
+    /// trace without overlap. No-op for ids that are not open.
+    pub fn settle_commit(&self, id: TraceId, start_ns: u64, end_ns: u64) {
+        let mut g = self.inner.lock().expect("trace collector poisoned");
+        let Some(t) = g.open.get_mut(&id) else {
+            return;
+        };
+        for st in &mut t.stages {
+            match st.stage {
+                "wal_fsync" => {
+                    st.start_ns = start_ns;
+                    st.end_ns = Some(end_ns);
+                }
+                "send" => st.end_ns = st.end_ns.map(|e| e.max(start_ns)),
+                "barrier_ack" if st.end_ns.is_none() => st.start_ns = st.start_ns.max(end_ns),
+                _ => {}
+            }
+        }
+    }
+
     /// RAII stage guard: the stage spans from this call to the guard drop.
     pub fn stage_guard(&self, id: TraceId, stage: &'static str) -> TraceStageGuard {
         TraceStageGuard {
@@ -372,6 +398,34 @@ mod tests {
         ] {
             assert!(json.contains(needle), "{json}");
         }
+    }
+
+    #[test]
+    fn settled_commit_tiles_the_trace() {
+        let c = TraceCollector::new();
+        c.set_enabled(true);
+        let id = c.begin("10.0.0.6".into(), 1, 0).unwrap();
+        c.stage(id, "packet_in", 0, 10);
+        c.stage_open(id, "wal_fsync");
+        c.stage(id, "compile", 12, 15);
+        c.stage(id, "send", 15, 16);
+        c.stage_open(id, "barrier_ack");
+        let (start, end) = (c.now_ns() + 1_000, c.now_ns() + 2_000);
+        c.settle_commit(id, start, end);
+        c.complete(id).unwrap();
+        let stages: Vec<(&str, u64, Option<u64>)> = c.tail(1)[0]
+            .stages
+            .iter()
+            .map(|s| (s.stage, s.start_ns, s.end_ns))
+            .collect();
+        assert_eq!(stages[1], ("wal_fsync", start, Some(end)));
+        assert_eq!(
+            stages[3],
+            ("send", 15, Some(start)),
+            "held until the commit"
+        );
+        assert_eq!((stages[4].0, stages[4].1), ("barrier_ack", end));
+        c.settle_commit(id, 0, 1); // closed trace: no-op
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub enum CodecError {
     /// ever completing a message — treated as a protocol violation so a
     /// misbehaving (or malicious) peer cannot grow memory without bound.
     BufferOverflow,
+    /// A message of this many bytes does not fit the 16-bit header length
+    /// field, so it cannot be encoded as one message.
+    TooLong(usize),
 }
 
 impl fmt::Display for CodecError {
@@ -36,6 +39,7 @@ impl fmt::Display for CodecError {
             CodecError::Unsupported => f.write_str("unsupported field or value"),
             CodecError::Invalid(why) => write!(f, "invalid message: {why}"),
             CodecError::BufferOverflow => f.write_str("deframer buffer limit exceeded"),
+            CodecError::TooLong(n) => write!(f, "{n}-byte message exceeds the 16-bit length field"),
         }
     }
 }

@@ -329,6 +329,15 @@ mod mp_type {
     pub const PORT_DESC: u16 = 13;
 }
 
+/// OFPMPF_REPLY_MORE: more parts of this multipart reply follow.
+const MPF_REPLY_MORE: u16 = 1;
+
+/// Largest message the 16-bit OpenFlow length field can describe.
+pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
+
+/// Fixed part of a multipart reply: header + type + flags + pad.
+const MULTIPART_REPLY_HEADER_LEN: usize = HEADER_LEN + 8;
+
 /// Body of an OFPMP_FLOW request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStatsRequest {
@@ -451,6 +460,85 @@ pub enum MultipartReplyBody {
     PortDesc(Vec<PortDesc>),
 }
 
+impl FlowStatsEntry {
+    /// Encoded length of this entry in a flow-stats reply.
+    pub fn encoded_len(&self) -> usize {
+        48 + self.match_.encoded_len() + Instruction::list_len(&self.instructions)
+    }
+}
+
+/// Split `entries` into runs whose encoded sizes (per `len`) each fit in
+/// `budget` bytes; an entry larger than the budget travels alone.
+fn split_runs<T>(entries: Vec<T>, budget: usize, len: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
+    let mut runs = vec![Vec::new()];
+    let mut used = 0;
+    for e in entries {
+        let n = len(&e);
+        if used > 0 && used + n > budget {
+            runs.push(Vec::new());
+            used = 0;
+        }
+        used += n;
+        runs.last_mut().expect("runs is never empty").push(e);
+    }
+    runs
+}
+
+impl MultipartReplyBody {
+    /// Split into bodies of the same kind whose encoded entries each fit
+    /// in `budget` bytes, preserving entry order. A body that already fits
+    /// comes back as the only element.
+    fn split(self, budget: usize) -> Vec<MultipartReplyBody> {
+        match self {
+            MultipartReplyBody::Flow(v) => split_runs(v, budget, FlowStatsEntry::encoded_len)
+                .into_iter()
+                .map(MultipartReplyBody::Flow)
+                .collect(),
+            MultipartReplyBody::PortStats(v) => split_runs(v, budget, |_| 112)
+                .into_iter()
+                .map(MultipartReplyBody::PortStats)
+                .collect(),
+            MultipartReplyBody::Table(v) => split_runs(v, budget, |_| 24)
+                .into_iter()
+                .map(MultipartReplyBody::Table)
+                .collect(),
+            MultipartReplyBody::PortDesc(v) => {
+                split_runs(v, budget, |_| crate::ports::PORT_DESC_LEN)
+                    .into_iter()
+                    .map(MultipartReplyBody::PortDesc)
+                    .collect()
+            }
+        }
+    }
+
+    /// Append the entries of a later part of the same reply. Returns
+    /// `false` (and leaves `self` unchanged) if `part` is of another kind.
+    pub fn extend(&mut self, part: MultipartReplyBody) -> bool {
+        match (self, part) {
+            (MultipartReplyBody::Flow(a), MultipartReplyBody::Flow(b)) => a.extend(b),
+            (MultipartReplyBody::PortStats(a), MultipartReplyBody::PortStats(b)) => a.extend(b),
+            (MultipartReplyBody::Table(a), MultipartReplyBody::Table(b)) => a.extend(b),
+            (MultipartReplyBody::PortDesc(a), MultipartReplyBody::PortDesc(b)) => a.extend(b),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Encode as one or more OFPT_MULTIPART_REPLY messages under `xid`,
+    /// each within [`MAX_MESSAGE_LEN`]: every part but the last carries
+    /// OFPMPF_REPLY_MORE, so a body of any size reaches the peer intact.
+    pub fn encode_parts(self, xid: u32) -> Vec<Vec<u8>> {
+        let mut parts = self.split(MAX_MESSAGE_LEN - MULTIPART_REPLY_HEADER_LEN);
+        let last = parts.pop().expect("split yields at least one part");
+        let mut out: Vec<Vec<u8>> = parts
+            .into_iter()
+            .map(|p| Message::MultipartReplyMore(p).encode(xid))
+            .collect();
+        out.push(Message::MultipartReply(last).encode(xid));
+        out
+    }
+}
+
 /// Controller roles (`ofp_controller_role`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControllerRole {
@@ -540,8 +628,13 @@ pub enum Message {
     FlowMod(FlowMod),
     /// OFPT_MULTIPART_REQUEST.
     MultipartRequest(MultipartRequestBody),
-    /// OFPT_MULTIPART_REPLY.
+    /// OFPT_MULTIPART_REPLY: the whole reply, or the final part of one
+    /// split across messages.
     MultipartReply(MultipartReplyBody),
+    /// OFPT_MULTIPART_REPLY with OFPMPF_REPLY_MORE set: a non-final part.
+    /// The remaining parts follow under the same xid; the part without the
+    /// flag (a [`Message::MultipartReply`]) ends the reply.
+    MultipartReplyMore(MultipartReplyBody),
     /// OFPT_BARRIER_REQUEST.
     BarrierRequest,
     /// OFPT_BARRIER_REPLY.
@@ -570,7 +663,9 @@ impl Message {
             Message::PacketOut(_) => msg_type::PACKET_OUT,
             Message::FlowMod(_) => msg_type::FLOW_MOD,
             Message::MultipartRequest(_) => msg_type::MULTIPART_REQUEST,
-            Message::MultipartReply(_) => msg_type::MULTIPART_REPLY,
+            Message::MultipartReply(_) | Message::MultipartReplyMore(_) => {
+                msg_type::MULTIPART_REPLY
+            }
             Message::BarrierRequest => msg_type::BARRIER_REQUEST,
             Message::BarrierReply => msg_type::BARRIER_REPLY,
             Message::RoleRequest(_) => msg_type::ROLE_REQUEST,
@@ -579,7 +674,22 @@ impl Message {
     }
 
     /// Encode with the given transaction id into a fresh byte vector.
+    ///
+    /// # Panics
+    ///
+    /// If the message exceeds [`MAX_MESSAGE_LEN`] bytes; see
+    /// [`Message::try_encode`]. Large multipart replies are split with
+    /// [`MultipartReplyBody::encode_parts`] instead.
     pub fn encode(&self, xid: u32) -> Vec<u8> {
+        match self.try_encode(xid) {
+            Ok(bytes) => bytes,
+            Err(e) => panic!("cannot encode {:?} message: {e}", self.msg_type()),
+        }
+    }
+
+    /// Encode with the given transaction id, refusing a message too long
+    /// for the 16-bit header length field instead of wrapping it.
+    pub fn try_encode(&self, xid: u32) -> Result<Vec<u8>> {
         let mut w = Writer::with_capacity(64);
         // Placeholder header; length patched at the end.
         Header::new(self.msg_type(), 0, xid).encode(&mut w);
@@ -704,7 +814,7 @@ impl Message {
                 w.pad(4);
                 emit(&mut w);
             }
-            Message::MultipartReply(body) => {
+            Message::MultipartReply(body) | Message::MultipartReplyMore(body) => {
                 let t = match body {
                     MultipartReplyBody::Flow(_) => mp_type::FLOW,
                     MultipartReplyBody::PortStats(_) => mp_type::PORT_STATS,
@@ -712,15 +822,14 @@ impl Message {
                     MultipartReplyBody::PortDesc(_) => mp_type::PORT_DESC,
                 };
                 w.u16(t);
-                w.u16(0);
+                let more = matches!(self, Message::MultipartReplyMore(_));
+                w.u16(if more { MPF_REPLY_MORE } else { 0 });
                 w.pad(4);
                 match body {
                     MultipartReplyBody::Flow(entries) => {
                         for e in entries {
                             let start = w.len();
-                            let len = 48
-                                + e.match_.encoded_len()
-                                + Instruction::list_len(&e.instructions);
+                            let len = e.encoded_len();
                             w.u16(len as u16);
                             w.u8(e.table_id);
                             w.pad(1);
@@ -777,9 +886,9 @@ impl Message {
             }
         }
         let mut bytes = w.into_bytes();
-        let len = bytes.len() as u16;
+        let len = u16::try_from(bytes.len()).map_err(|_| CodecError::TooLong(bytes.len()))?;
         bytes[2..4].copy_from_slice(&len.to_be_bytes());
-        bytes
+        Ok(bytes)
     }
 
     /// Decode exactly one message (the buffer must hold the whole message,
@@ -973,7 +1082,7 @@ impl Message {
             }
             msg_type::MULTIPART_REPLY => {
                 let t = r.u16()?;
-                let _flags = r.u16()?;
+                let more = r.u16()? & MPF_REPLY_MORE != 0;
                 r.skip(4)?;
                 let body = match t {
                     mp_type::FLOW => {
@@ -1069,7 +1178,11 @@ impl Message {
                     }
                     _ => return Err(CodecError::Unsupported),
                 };
-                Message::MultipartReply(body)
+                if more {
+                    Message::MultipartReplyMore(body)
+                } else {
+                    Message::MultipartReply(body)
+                }
             }
             msg_type::BARRIER_REQUEST => Message::BarrierRequest,
             msg_type::BARRIER_REPLY => Message::BarrierReply,
@@ -1511,5 +1624,82 @@ mod tests {
         let (msg, xid) = Message::decode(&bytes).unwrap();
         assert_eq!(msg, Message::Hello);
         assert_eq!(xid, 5);
+    }
+
+    fn stats_entry(i: u32) -> FlowStatsEntry {
+        FlowStatsEntry {
+            table_id: 0,
+            duration_sec: i,
+            duration_nsec: 0,
+            priority: 100,
+            idle_timeout: 0,
+            hard_timeout: 600,
+            flags: 0,
+            cookie: u64::from(i),
+            packet_count: 0,
+            byte_count: 0,
+            match_: OxmMatch::new()
+                .with(OxmField::InPort(1))
+                .with(OxmField::EthType(0x0800))
+                .with(OxmField::Ipv4Src(
+                    std::net::Ipv4Addr::from(0x0a00_0000 + i),
+                    None,
+                )),
+            instructions: vec![Instruction::GotoTable(1)],
+        }
+    }
+
+    #[test]
+    fn reply_more_flag_roundtrips() {
+        roundtrip(Message::MultipartReplyMore(MultipartReplyBody::Flow(vec![
+            stats_entry(1),
+        ])));
+        let bytes = Message::MultipartReplyMore(MultipartReplyBody::Table(vec![])).encode(3);
+        assert_eq!(&bytes[10..12], &[0, 1], "OFPMPF_REPLY_MORE on the wire");
+    }
+
+    /// Regression: a flow-stats reply over 64 KiB used to be encoded with
+    /// a wrapped length. It must be refused as one message and travel as
+    /// REPLY_MORE parts that reassemble to the original body.
+    #[test]
+    fn oversized_reply_is_refused_whole_and_split_into_parts() {
+        let entries: Vec<FlowStatsEntry> = (0..1500).map(stats_entry).collect();
+        let body = MultipartReplyBody::Flow(entries);
+        assert!(matches!(
+            Message::MultipartReply(body.clone()).try_encode(9),
+            Err(CodecError::TooLong(n)) if n > MAX_MESSAGE_LEN
+        ));
+
+        let parts = body.clone().encode_parts(9);
+        assert!(parts.len() >= 2, "1500 entries need several parts");
+        let mut merged: Option<MultipartReplyBody> = None;
+        for (i, bytes) in parts.iter().enumerate() {
+            assert!(bytes.len() <= MAX_MESSAGE_LEN);
+            let (msg, xid) = Message::decode(bytes).unwrap();
+            assert_eq!(xid, 9);
+            let last = i + 1 == parts.len();
+            let part = match msg {
+                Message::MultipartReplyMore(p) if !last => p,
+                Message::MultipartReply(p) if last => p,
+                other => panic!("part {i}: unexpected {other:?}"),
+            };
+            match &mut merged {
+                None => merged = Some(part),
+                Some(m) => assert!(m.extend(part)),
+            }
+        }
+        assert_eq!(merged, Some(body));
+
+        // A body that fits stays one unflagged message.
+        let small = MultipartReplyBody::Flow(vec![stats_entry(1)]);
+        let parts = small.clone().encode_parts(2);
+        assert_eq!(parts, vec![Message::MultipartReply(small).encode(2)]);
+    }
+
+    #[test]
+    fn extend_rejects_a_part_of_another_kind() {
+        let mut a = MultipartReplyBody::Table(vec![]);
+        assert!(!a.extend(MultipartReplyBody::PortDesc(vec![])));
+        assert_eq!(a, MultipartReplyBody::Table(vec![]));
     }
 }

@@ -15,8 +15,9 @@
 //! * [`snapshot`] — periodic compaction into an atomic-rename snapshot so
 //!   the log never grows without bound.
 //! * [`BindingStore`] — the façade: `open` runs recovery (snapshot + WAL
-//!   tail replay) and reports what it found; `append` makes each binding
-//!   mutation durable (fsync policy configurable); compaction triggers
+//!   tail replay) and reports what it found; `append` writes each binding
+//!   mutation and a [`WalCommit`] handle group-commits everything staged
+//!   with one fsync (policy configurable); compaction triggers
 //!   automatically on size thresholds.
 //!
 //! Everything is `std`-only: the CRC table, the framing, and the atomic
@@ -34,5 +35,5 @@ pub mod wal;
 
 pub use crc32::crc32;
 pub use record::{BindingRecord, RecordSource, WalOp};
-pub use store::{apply, BindingStore, FsyncPolicy, RecoveryReport, StoreConfig, WalTap};
+pub use store::{apply, BindingStore, FsyncPolicy, RecoveryReport, StoreConfig, WalCommit, WalTap};
 pub use wal::{read_from, scan_bytes, TailError, WalScan, WalTail};

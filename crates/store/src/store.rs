@@ -26,12 +26,17 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// When appends hit the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after every append — a record is durable before the flow rule
-    /// derived from it is pushed. The default; correctness over throughput.
+    /// Group commit: appends are written immediately and made durable by
+    /// the next [`WalCommit::commit`], one fsync for everything staged
+    /// since the previous one. The controller commits before any output
+    /// of the batch that staged a record leaves it, so a record is still
+    /// durable before any flow rule derived from it is pushed. The
+    /// default; correctness over throughput.
     #[default]
     Always,
     /// fsync only at compaction; a crash can lose the tail since the last
@@ -77,16 +82,79 @@ pub struct RecoveryReport {
     pub recovered_bindings: usize,
 }
 
-/// A live-append observer: called with `(global_seq, op)` after each
-/// durable append. This is how a replication leader fans freshly committed
-/// records out to followers without polling the file.
+/// A live-append observer: called with `(global_seq, op)` once per
+/// record, in sequence order, after the record is durable — under
+/// [`FsyncPolicy::Always`] by the commit that covered it, under the other
+/// policies at append. This is how a replication leader fans freshly
+/// committed records out to followers without polling the file.
 pub type WalTap = Box<dyn FnMut(u64, &WalOp) + Send>;
 
-struct Tap(WalTap);
+/// What a store shares with its commit handles.
+struct Staged {
+    /// A second descriptor on the WAL file, for the commit's fsync.
+    wal: File,
+    fsync: FsyncPolicy,
+    /// Records written since the last commit (`Always` only), with their
+    /// global sequence numbers; the tap sees them once they are durable.
+    pending: Vec<(u64, WalOp)>,
+    tap: Option<WalTap>,
+    obs: Option<Obs>,
+}
 
-impl std::fmt::Debug for Tap {
+impl Staged {
+    fn stage(&mut self, seq: u64, op: &WalOp) {
+        if self.fsync == FsyncPolicy::Always {
+            self.pending.push((seq, *op));
+        } else if let Some(tap) = &mut self.tap {
+            tap(seq, op);
+        }
+    }
+
+    fn commit(&mut self) -> std::io::Result<usize> {
+        if self.pending.is_empty() {
+            return Ok(0);
+        }
+        {
+            let _span = self.obs.as_ref().map(|o| o.span("wal_fsync"));
+            self.wal.sync_data()?;
+        }
+        if let Some(obs) = &self.obs {
+            obs.counters.incr("sav_wal_commits_total");
+        }
+        let n = self.pending.len();
+        for (seq, op) in self.pending.drain(..) {
+            if let Some(tap) = &mut self.tap {
+                tap(seq, &op);
+            }
+        }
+        Ok(n)
+    }
+}
+
+/// Cloneable handle that makes a [`BindingStore`]'s staged appends
+/// durable. Taken with [`BindingStore::commit_handle`], so a caller that
+/// does not own the store (the controller, at the end of a batch) can
+/// still commit it.
+#[derive(Clone)]
+pub struct WalCommit(Arc<Mutex<Staged>>);
+
+impl WalCommit {
+    /// Fsync once if anything was appended since the last commit, then
+    /// hand the newly durable records to the tap in sequence order.
+    /// Returns how many records this commit covered (0 = nothing staged,
+    /// no fsync). On failure the records stay staged for the next commit.
+    pub fn commit(&self) -> std::io::Result<usize> {
+        self.0.lock().expect("wal commit poisoned").commit()
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&mut Staged) -> R) -> R {
+        f(&mut self.0.lock().expect("wal commit poisoned"))
+    }
+}
+
+impl std::fmt::Debug for WalCommit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("WalTap")
+        f.write_str("WalCommit")
     }
 }
 
@@ -110,7 +178,7 @@ pub struct BindingStore {
     report: RecoveryReport,
     scratch: Vec<u8>,
     obs: Option<Obs>,
-    tap: Option<Tap>,
+    staged: WalCommit,
 }
 
 impl BindingStore {
@@ -149,6 +217,13 @@ impl BindingStore {
             apply(&mut state, op);
         }
 
+        let staged = WalCommit(Arc::new(Mutex::new(Staged {
+            wal: wal.try_clone()?,
+            fsync: config.fsync,
+            pending: Vec::new(),
+            tap: None,
+            obs: None,
+        })));
         let report = RecoveryReport {
             snapshot_bindings,
             snapshot_damaged: snap.damaged,
@@ -167,15 +242,18 @@ impl BindingStore {
             report,
             scratch: Vec::new(),
             obs: None,
-            tap: None,
+            staged,
         })
     }
 
     /// Attach an observability handle: appends and compactions reach its
-    /// journal, fsync latency its `wal_fsync` trace histogram, and the
-    /// current WAL size its `sav_wal_bytes` gauge.
+    /// journal, commit fsync latency its `wal_fsync` trace histogram,
+    /// commits its `sav_wal_commits_total` counter, and the current WAL
+    /// size its `sav_wal_bytes` gauge.
     pub fn set_obs(&mut self, obs: Obs) {
         obs.gauges.set("sav_wal_bytes", self.wal_bytes as f64);
+        obs.counters.add("sav_wal_commits_total", 0);
+        self.staged.with(|s| s.obs = Some(obs.clone()));
         self.obs = Some(obs);
     }
 
@@ -235,28 +313,36 @@ impl BindingStore {
         Self::wal_path(&self.dir)
     }
 
-    /// Install (or replace) the live-append tap: every subsequent durable
-    /// append also invokes `tap(global_seq, op)`, after the record is on
-    /// disk and folded into the shadow state.
+    /// Install (or replace) the live-append tap: every subsequent append
+    /// also invokes `tap(global_seq, op)` once the record is durable (see
+    /// [`WalTap`]).
     pub fn set_tap(&mut self, tap: WalTap) {
-        self.tap = Some(Tap(tap));
+        self.staged.with(|s| s.tap = Some(tap));
     }
 
-    /// Durably append one op and fold it into the shadow state. Compacts
-    /// automatically when both thresholds in [`StoreConfig`] trip.
+    /// A handle whose [`WalCommit::commit`] makes this store's staged
+    /// appends durable. Clones share the store's staging state.
+    pub fn commit_handle(&self) -> WalCommit {
+        self.staged.clone()
+    }
+
+    /// Make every staged append durable now: shorthand for committing
+    /// through [`Self::commit_handle`].
+    pub fn commit(&self) -> std::io::Result<usize> {
+        self.staged.commit()
+    }
+
+    /// Write one op to the WAL and fold it into the shadow state. Under
+    /// [`FsyncPolicy::Always`] the record is staged, not yet durable: the
+    /// next commit (or compaction) fsyncs it. Compacts automatically when
+    /// both thresholds in [`StoreConfig`] trip.
     pub fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
         let wrote = append_op(&mut self.wal, op, &mut self.scratch)?;
-        if matches!(self.config.fsync, FsyncPolicy::Always) {
-            let _span = self.obs.as_ref().map(|o| o.span("wal_fsync"));
-            self.wal.sync_data()?;
-        }
         let seq = self.base_seq + self.wal_records;
         self.wal_bytes += wrote;
         self.wal_records += 1;
         apply(&mut self.state, op);
-        if let Some(Tap(tap)) = &mut self.tap {
-            tap(seq, op);
-        }
+        self.staged.with(|s| s.stage(seq, op));
         if let Some(obs) = &self.obs {
             obs.event(
                 Severity::Debug,
@@ -274,8 +360,10 @@ impl BindingStore {
         Ok(())
     }
 
-    /// Write the shadow state to a fresh snapshot and reset the WAL.
+    /// Commit what is staged, then write the shadow state to a fresh
+    /// snapshot and reset the WAL.
     pub fn compact(&mut self) -> std::io::Result<()> {
+        self.commit()?;
         let before = self.wal_bytes;
         write_snapshot(
             &Self::snapshot_path(&self.dir),
@@ -529,8 +617,9 @@ mod tests {
         s.append(&WalOp::Upsert(rec(1))).unwrap();
         assert_eq!(obs.gauges.get("sav_wal_bytes"), Some(s.wal_len() as f64));
         assert!(obs.journal.tail_jsonl(1).contains("wal_append"));
+        s.commit().unwrap();
         let fsync = obs.tracer.histogram("wal_fsync").unwrap();
-        assert_eq!(fsync.count(), 1, "Always policy fsyncs each append");
+        assert_eq!(fsync.count(), 1, "the commit fsyncs the staged append");
         s.compact().unwrap();
         assert_eq!(obs.gauges.get("sav_wal_bytes"), Some(0.0));
         assert!(obs.journal.tail_jsonl(1).contains("wal_compact"));
@@ -556,6 +645,7 @@ mod tests {
         for i in 1..=4 {
             s.append(&WalOp::Upsert(rec(i))).unwrap();
         }
+        s.commit().unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!((s.base_seq(), s.seq()), (0, 4));
 
@@ -570,6 +660,7 @@ mod tests {
         s.compact().unwrap();
         assert_eq!((s.base_seq(), s.seq()), (4, 4));
         s.append(&WalOp::Remove(rec(2).ip)).unwrap();
+        s.commit().unwrap();
         assert_eq!(seen.lock().unwrap().last(), Some(&4));
 
         // The lagging follower (still at seq 2) now gets a resync signal…
@@ -586,6 +677,92 @@ mod tests {
             apply(&mut image, &op);
         }
         assert_eq!(&image, s.bindings());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Group commit: N appends cost one fsync at the commit, the tap sees
+    /// each record exactly once and only after that fsync, and all N
+    /// records survive a reopen.
+    #[test]
+    fn n_appends_one_commit_one_fsync() {
+        use std::sync::{Arc, Mutex};
+
+        let dir = tmp_dir("group");
+        let obs = sav_obs::Obs::with_tracing();
+        let mut s = BindingStore::open(&dir, StoreConfig::default()).unwrap();
+        s.set_obs(obs.clone());
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        s.set_tap(Box::new(move |seq, _op| sink.lock().unwrap().push(seq)));
+        let fsyncs =
+            |obs: &sav_obs::Obs| obs.tracer.histogram("wal_fsync").map_or(0, |h| h.count());
+
+        for i in 1..=6 {
+            s.append(&WalOp::Upsert(rec(i))).unwrap();
+        }
+        assert_eq!(fsyncs(&obs), 0, "appends stage, they do not fsync");
+        assert!(seen.lock().unwrap().is_empty(), "tap fired before commit");
+
+        let handle = s.commit_handle();
+        assert_eq!(handle.commit().unwrap(), 6);
+        assert_eq!(fsyncs(&obs), 1);
+        assert_eq!(obs.counters.get("sav_wal_commits_total"), 1);
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4, 5]);
+
+        // Nothing staged: a second commit (from any clone) is free.
+        assert_eq!(handle.clone().commit().unwrap(), 0);
+        assert_eq!(fsyncs(&obs), 1);
+        assert_eq!(obs.counters.get("sav_wal_commits_total"), 1);
+        assert_eq!(seen.lock().unwrap().len(), 6, "each record tapped once");
+        drop(s);
+
+        let s = BindingStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(s.recovery_report().wal_ops_replayed, 6);
+        assert_eq!(s.bindings().len(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Compaction commits first, so staged records reach the tap before
+    /// they fold into the snapshot.
+    #[test]
+    fn compaction_commits_staged_records() {
+        use std::sync::{Arc, Mutex};
+
+        let dir = tmp_dir("compact-commit");
+        let mut s = BindingStore::open(&dir, StoreConfig::default()).unwrap();
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        s.set_tap(Box::new(move |seq, _op| sink.lock().unwrap().push(seq)));
+        s.append(&WalOp::Upsert(rec(1))).unwrap();
+        s.append(&WalOp::Upsert(rec(2))).unwrap();
+        s.compact().unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1]);
+        assert_eq!(s.commit().unwrap(), 0, "compaction left nothing staged");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `OnCompact` keeps its old shape: the tap fires at append and a
+    /// commit never fsyncs.
+    #[test]
+    fn on_compact_policy_taps_at_append_and_never_commits() {
+        use std::sync::{Arc, Mutex};
+
+        let dir = tmp_dir("on-compact");
+        let config = StoreConfig {
+            fsync: FsyncPolicy::OnCompact,
+            ..StoreConfig::default()
+        };
+        let obs = sav_obs::Obs::with_tracing();
+        let mut s = BindingStore::open(&dir, config).unwrap();
+        s.set_obs(obs.clone());
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        s.set_tap(Box::new(move |seq, _op| sink.lock().unwrap().push(seq)));
+        s.append(&WalOp::Upsert(rec(1))).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![0]);
+        assert_eq!(s.commit().unwrap(), 0);
+        assert!(obs.tracer.histogram("wal_fsync").is_none());
+        assert_eq!(obs.counters.get("sav_wal_commits_total"), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Two controller nodes form a replication group. Node 1 (lowest id) wins
 //! the election, takes its durable replica as the active binding store,
-//! and every append is streamed to node 2's own on-disk replica. Each
+//! and every committed append is streamed to node 2's own on-disk replica. Each
 //! node exposes a role-aware `/healthz` — exactly what a load balancer
 //! would probe. Node 1 is then killed without ceremony: node 2 claims
 //! leadership at a strictly higher generation within one liveness lease,
@@ -109,10 +109,12 @@ fn main() {
     println!("  node 1 /healthz: {}", healthz(h1.local_addr()));
     println!("  node 2 /healthz: {}\n", healthz(h2.local_addr()));
 
-    println!("leader learns 3 bindings; each WAL append streams to the standby:");
+    println!("leader learns 3 bindings; each committed WAL record streams to the standby:");
     for i in 1..=3u8 {
         store.append(&WalOp::Upsert(binding(i))).unwrap();
     }
+    // One group commit makes the three records durable and streams them.
+    store.commit().unwrap();
     assert!(
         wait_for(Duration::from_secs(10), || n2.seq() == 3),
         "standby must replicate all records"

@@ -327,6 +327,26 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         "rule-compile histogram must record the allow compilations:\n{metrics}"
     );
 
+    // WAL group commits: registered as a counter, at least one per learned
+    // binding's batch, never more than the records they made durable, so
+    // records per commit reads straight off the scrape.
+    assert!(
+        metrics.contains("# TYPE sav_wal_commits_total counter"),
+        "the WAL commit counter must be typed on the scrape:\n{metrics}"
+    );
+    let commits = series_values(&metrics, "sav_wal_commits_total")
+        .first()
+        .map(|(_, v)| *v)
+        .unwrap_or(0.0);
+    let records = ctrl
+        .lock()
+        .with_app::<SavApp, _>(|a| a.store().map_or(0, |s| s.seq()))
+        .unwrap() as f64;
+    assert!(
+        commits >= 1.0 && commits <= records,
+        "{commits} WAL commits for {records} records:\n{metrics}"
+    );
+
     // Per-switch binding gauges match the app's binding table.
     let per_switch: HashMap<u64, usize> = ctrl
         .lock()

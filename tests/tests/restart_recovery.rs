@@ -590,3 +590,100 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Regression: a switch holding more SAV allow rules than one 64 KiB
+/// flow-stats reply can carry (about 680) used to send a reply with a
+/// wrapped length, so restart reconciliation never completed. The reply
+/// now travels as REPLY_MORE parts that the controller reassembles.
+#[test]
+fn restart_reconciles_a_switch_with_1600_bindings() {
+    use sav_controller::app::Ctx;
+    use sav_core::{Binding, BindingSource};
+    use sav_sim::SimTime;
+    use std::net::Ipv4Addr;
+
+    const N: u32 = 1600;
+    let dir = std::env::temp_dir().join(format!(
+        "sav-large-reconcile-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let topo = Arc::new(generators::linear(2, 2));
+    let dpid = topo.switches()[0].id.dpid();
+    let now = SimTime::ZERO;
+
+    // Ferry bytes both ways until the channel is quiet.
+    let ferry = |ctrl: &mut Controller, sw: &mut OpenFlowSwitch, mut to_sw: Vec<Vec<u8>>| {
+        let mut to_ctrl: Vec<Vec<u8>> = Vec::new();
+        while !to_sw.is_empty() || !to_ctrl.is_empty() {
+            for b in to_sw.drain(..) {
+                to_ctrl.extend(sw.handle_controller_bytes(now, &b).unwrap().to_controller);
+            }
+            for b in std::mem::take(&mut to_ctrl) {
+                let out = ctrl.on_bytes(now, 0, &b).unwrap();
+                to_sw.extend(out.to_switch.into_iter().map(|(_, b)| b));
+            }
+        }
+    };
+    let connect = |ctrl: &mut Controller, sw: &mut OpenFlowSwitch| {
+        let greeting = ctrl.on_connect(0);
+        let hello = sw.on_control_reconnect();
+        let out = ctrl.on_bytes(now, 0, &hello).unwrap();
+        let mut to_sw = vec![greeting];
+        to_sw.extend(out.to_switch.into_iter().map(|(_, b)| b));
+        ferry(ctrl, sw, to_sw);
+    };
+
+    // ---- Life 1: learn N bindings on one port of one switch. ----------
+    let mut sw = mk_switch(dpid);
+    let (mut ctrl, _) = controller_with_store(&topo, &dir);
+    connect(&mut ctrl, &mut sw);
+    let msgs = ctrl
+        .with_app::<SavApp, _>(|app| {
+            let mut ctx = Ctx::new(now);
+            for i in 0..N {
+                app.upsert_binding(
+                    &mut ctx,
+                    Binding {
+                        ip: Ipv4Addr::from(0x0a64_0000 + i),
+                        mac: MacAddr::from_index(u64::from(i) + 1000),
+                        dpid,
+                        port: 2,
+                        source: BindingSource::Dhcp,
+                        expires: Some(SimTime::from_secs(u64::from(LEASE_SECS))),
+                    },
+                );
+            }
+            ctx.take()
+        })
+        .unwrap();
+    let mut out = sav_controller::ControllerOutput::default();
+    ctrl.send_all(msgs, &mut out);
+    ferry(
+        &mut ctrl,
+        &mut sw,
+        out.to_switch.into_iter().map(|(_, b)| b).collect(),
+    );
+    let sav_rules = |sw: &OpenFlowSwitch| {
+        (0..4u8)
+            .filter_map(|t| sw.table(t))
+            .flat_map(|t| t.entries())
+            .filter(|e| e.cookie & sav_core::SAV_COOKIE_MASK == sav_core::SAV_COOKIE)
+            .count()
+    };
+    let rules = sav_rules(&sw);
+    assert!(rules > N as usize, "switch holds every allow rule: {rules}");
+    drop(ctrl); // crash
+
+    // ---- Life 2: recover and reconcile the oversized flow table. -------
+    let (mut ctrl, counters) = controller_with_store(&topo, &dir);
+    ctrl.with_app::<SavApp, _>(|app| assert_eq!(app.bindings().len(), N as usize))
+        .unwrap();
+    connect(&mut ctrl, &mut sw);
+    assert_eq!(counters.get("reconciled_kept"), rules as u64, "kept == all");
+    assert_eq!(counters.get("reconciled_installed"), 0);
+    assert_eq!(counters.get("reconciled_deleted"), 0);
+    assert_eq!(sav_rules(&sw), rules);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
