@@ -16,9 +16,10 @@ use sav_sim::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Parts one multipart reply may span before the controller gives up on
-/// reassembling it (at most 64 KiB each), so a peer that never sends the
-/// final part cannot grow memory without bound.
+/// Non-final multipart reply parts (at most 64 KiB each) one connection
+/// may have buffered at a time, across all its xids. A peer that sends
+/// more without finishing its replies is hung up on, so one that never
+/// sends a final part cannot grow memory without bound.
 const MAX_REPLY_PARTS: usize = 256;
 
 /// Connection identifier (assigned by the embedding I/O layer).
@@ -40,6 +41,11 @@ enum ConnState {
 struct Conn {
     state: ConnState,
     deframer: Deframer,
+    /// Multipart replies still arriving in REPLY_MORE parts, by xid, with
+    /// the number of parts buffered for each.
+    partial: HashMap<u32, (MultipartReplyBody, usize)>,
+    /// Parts buffered in `partial`, across all its xids.
+    partial_parts: usize,
 }
 
 /// Messages to write, per connection.
@@ -84,6 +90,9 @@ pub struct ControllerStats {
     pub handshake_failures: u64,
     /// ROLE_REQUESTs a switch refused (stale generation — we were fenced).
     pub role_rejections: u64,
+    /// App messages dropped unsent because they exceed the 64 KiB
+    /// OpenFlow message limit (e.g. a flood of a maximal packet-in frame).
+    pub oversized_dropped: u64,
 }
 
 /// The controller: connections + the app chain.
@@ -102,9 +111,6 @@ pub struct Controller {
     /// Commits registered by apps during the current batch; each runs
     /// once before the batch's output is returned.
     pending_commits: Vec<Arc<dyn Commit>>,
-    /// Multipart replies still arriving in REPLY_MORE parts, by
-    /// `(conn, xid)`, with the number of parts so far.
-    partial_replies: HashMap<(ConnId, u32), (MultipartReplyBody, usize)>,
     /// Counters for the evaluation harness.
     pub stats: ControllerStats,
 }
@@ -121,7 +127,6 @@ impl Controller {
             obs: None,
             pending_barriers: HashMap::new(),
             pending_commits: Vec::new(),
-            partial_replies: HashMap::new(),
             stats: ControllerStats::default(),
         }
     }
@@ -176,6 +181,8 @@ impl Controller {
             Conn {
                 state: ConnState::AwaitHello,
                 deframer: Deframer::new(),
+                partial: HashMap::new(),
+                partial_parts: 0,
             },
         );
         let x = self.xid();
@@ -204,7 +211,6 @@ impl Controller {
                 }
             }
         }
-        self.partial_replies.retain(|k, _| k.0 != conn);
         if let Some(c) = self.conns.remove(&conn) {
             if let ConnState::Ready { dpid } = c.state {
                 self.dpid_to_conn.remove(&dpid);
@@ -417,10 +423,18 @@ impl Controller {
 
     /// Buffer a non-final multipart part until the final one arrives.
     /// Returns `false` for a protocol violation: a part of another kind
-    /// than the ones before it, or one past [`MAX_REPLY_PARTS`].
+    /// than the ones before it under the same xid, or one that would take
+    /// the connection past [`MAX_REPLY_PARTS`] buffered parts.
     fn collect_part(&mut self, conn: ConnId, xid: u32, part: MultipartReplyBody) -> bool {
         use std::collections::hash_map::Entry;
-        match self.partial_replies.entry((conn, xid)) {
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return true;
+        };
+        if c.partial_parts >= MAX_REPLY_PARTS {
+            return false;
+        }
+        c.partial_parts += 1;
+        match c.partial.entry(xid) {
             Entry::Vacant(v) => {
                 v.insert((part, 1));
                 true
@@ -428,11 +442,7 @@ impl Controller {
             Entry::Occupied(mut o) => {
                 let (body, parts) = o.get_mut();
                 *parts += 1;
-                let ok = *parts <= MAX_REPLY_PARTS && body.extend(part);
-                if !ok {
-                    o.remove();
-                }
-                ok
+                body.extend(part)
             }
         }
     }
@@ -446,9 +456,13 @@ impl Controller {
         xid: u32,
         last: &MultipartReplyBody,
     ) -> Result<Option<MultipartReplyBody>, ()> {
-        let Some((mut body, _)) = self.partial_replies.remove(&(conn, xid)) else {
+        let Some(c) = self.conns.get_mut(&conn) else {
             return Ok(None);
         };
+        let Some((mut body, parts)) = c.partial.remove(&xid) else {
+            return Ok(None);
+        };
+        c.partial_parts -= parts;
         if body.extend(last.clone()) {
             Ok(Some(body))
         } else {
@@ -512,21 +526,25 @@ impl Controller {
             tags.entry(*dpid).or_default().push_back(*trace);
         }
         for (dpid, msg) in msgs {
-            match msg {
-                Message::FlowMod(_) => self.stats.flow_mods += 1,
-                Message::PacketOut(_) => self.stats.packet_outs += 1,
-                _ => {}
-            }
-            self.stats.tx_messages += 1;
-            if let Some(&conn) = self.dpid_to_conn.get(&dpid) {
-                let x = self.xid();
-                if matches!(msg, Message::BarrierRequest) {
-                    if let Some(trace) = tags.get_mut(&dpid).and_then(|q| q.pop_front()) {
-                        self.pending_barriers.insert((conn, x), trace);
-                    }
+            let Some(&conn) = self.dpid_to_conn.get(&dpid) else {
+                self.count_sent(&msg);
+                continue;
+            };
+            let x = self.xid();
+            // App output can carry peer-sized data (a packet-out echoes a
+            // packet-in's frame): drop a message the 16-bit length field
+            // cannot describe rather than take the controller down.
+            let Ok(bytes) = msg.try_encode(x) else {
+                self.stats.oversized_dropped += 1;
+                continue;
+            };
+            self.count_sent(&msg);
+            if matches!(msg, Message::BarrierRequest) {
+                if let Some(trace) = tags.get_mut(&dpid).and_then(|q| q.pop_front()) {
+                    self.pending_barriers.insert((conn, x), trace);
                 }
-                out.to_switch.push((conn, msg.encode(x)));
             }
+            out.to_switch.push((conn, bytes));
         }
         // Tags whose barrier never encoded (switch disconnected between
         // queueing and flush) can never complete: abandon them.
@@ -537,6 +555,15 @@ impl Controller {
                 }
             }
         }
+    }
+
+    fn count_sent(&mut self, msg: &Message) {
+        match msg {
+            Message::FlowMod(_) => self.stats.flow_mods += 1,
+            Message::PacketOut(_) => self.stats.packet_outs += 1,
+            _ => {}
+        }
+        self.stats.tx_messages += 1;
     }
 
     /// A connection finished its (possibly role-gated) handshake: index the
@@ -860,10 +887,83 @@ mod tests {
         let out = ctrl.on_bytes(SimTime::ZERO, 0, &mixed).unwrap();
         assert_eq!(out.hangups, vec![0]);
         ctrl.with_app::<StatsProbe, _>(|p| assert_eq!(p.0, vec![6]));
-        // A disconnect mid-reply forgets the parts.
-        ctrl.on_bytes(SimTime::ZERO, 0, &parts[0]).unwrap();
-        ctrl.on_disconnect(SimTime::ZERO, 0);
-        assert!(ctrl.partial_replies.is_empty());
+    }
+
+    /// The part limit is per connection: a peer that opens replies under
+    /// ever new xids and never finishes them is hung up on once it has
+    /// [`MAX_REPLY_PARTS`] parts buffered, and a finished reply frees its
+    /// parts.
+    #[test]
+    fn reply_parts_are_capped_per_connection_across_xids() {
+        let mut ctrl = Controller::new(vec![]);
+        let mut sw = mk_switch(9);
+        converge(&mut ctrl, &mut sw, 0);
+        let part =
+            |xid: u32| Message::MultipartReplyMore(MultipartReplyBody::Table(vec![])).encode(xid);
+        let chunk: Vec<u8> = (0..MAX_REPLY_PARTS as u32).flat_map(part).collect();
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &chunk).unwrap();
+        assert!(out.hangups.is_empty());
+        assert_eq!(ctrl.conns[&0].partial_parts, MAX_REPLY_PARTS);
+
+        let last = Message::MultipartReply(MultipartReplyBody::Table(vec![])).encode(0);
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &last).unwrap();
+        assert!(out.hangups.is_empty(), "finishing xid 0 frees its part");
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &part(100_000)).unwrap();
+        assert!(out.hangups.is_empty());
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &part(100_001)).unwrap();
+        assert_eq!(out.hangups, vec![0], "one part past the limit");
+        assert_eq!(ctrl.conns[&0].partial_parts, MAX_REPLY_PARTS);
+    }
+
+    /// A switch can send a packet-in carrying a frame close to 64 KiB; the
+    /// L2 app's flood of it adds one output action per port and no longer
+    /// fits in an OpenFlow message. The controller drops that one
+    /// packet-out and keeps serving the connection.
+    #[test]
+    fn oversized_flood_is_dropped_and_the_controller_survives() {
+        use crate::apps::L2RoutingApp;
+        use sav_topo::routes::Routes;
+
+        let topo = Arc::new(sav_topo::generators::linear(2, 2));
+        let routes = Arc::new(Routes::compute(&topo));
+        let s0 = topo.switches()[0].id;
+        let host = topo.hosts_on(s0).next().unwrap().clone();
+        let mut ctrl = Controller::new(vec![Box::new(L2RoutingApp::new(topo.clone(), routes))]);
+        let mut sw = mk_switch(s0.dpid());
+        converge(&mut ctrl, &mut sw, 0);
+
+        // Broadcast frame from a known host on its own port: flooded to
+        // the other host port and the trunk.
+        let frame = |len: usize| {
+            let mut f = vec![0u8; len];
+            f[..6].copy_from_slice(&MacAddr::BROADCAST.0);
+            f[6..12].copy_from_slice(&host.mac.0);
+            f[12..14].copy_from_slice(&0x88b5u16.to_be_bytes());
+            f
+        };
+        let packet_in = |data: Vec<u8>| {
+            Message::PacketIn(sav_openflow::messages::PacketIn {
+                buffer_id: sav_openflow::consts::NO_BUFFER,
+                total_len: u16::try_from(data.len()).unwrap_or(u16::MAX),
+                reason: sav_openflow::messages::PacketInReason::NoMatch,
+                table_id: 1,
+                cookie: u64::MAX,
+                match_: OxmMatch::new().with(sav_openflow::oxm::OxmField::InPort(host.port)),
+                data,
+            })
+            .encode(7)
+        };
+        let big = packet_in(frame(65_480));
+        assert!(big.len() <= sav_openflow::messages::MAX_MESSAGE_LEN);
+        let chunk: Vec<u8> = big.into_iter().chain(packet_in(frame(64))).collect();
+
+        let out = ctrl.on_bytes(SimTime::ZERO, 0, &chunk).unwrap();
+        assert_eq!(ctrl.stats.oversized_dropped, 1);
+        assert!(out.hangups.is_empty());
+        assert_eq!(out.to_switch.len(), 1, "the small frame is still flooded");
+        let (msg, _) = Message::decode(&out.to_switch[0].1).unwrap();
+        assert!(matches!(msg, Message::PacketOut(po) if po.actions.len() == 2));
+        assert_eq!(ctrl.stats.packet_outs, 1);
     }
 
     #[test]

@@ -467,48 +467,28 @@ impl FlowStatsEntry {
     }
 }
 
-/// Split `entries` into runs whose encoded sizes (per `len`) each fit in
-/// `budget` bytes; an entry larger than the budget travels alone.
-fn split_runs<T>(entries: Vec<T>, budget: usize, len: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
-    let mut runs = vec![Vec::new()];
-    let mut used = 0;
-    for e in entries {
-        let n = len(&e);
-        if used > 0 && used + n > budget {
-            runs.push(Vec::new());
-            used = 0;
-        }
-        used += n;
-        runs.last_mut().expect("runs is never empty").push(e);
-    }
-    runs
-}
-
 impl MultipartReplyBody {
-    /// Split into bodies of the same kind whose encoded entries each fit
-    /// in `budget` bytes, preserving entry order. A body that already fits
-    /// comes back as the only element.
+    /// Split a flow-stats body into flow-stats bodies whose encoded
+    /// entries each fit in `budget` bytes, preserving entry order; an
+    /// entry larger than the budget travels alone. Flow stats are the one
+    /// reply that grows with the rule count, so other kinds come back
+    /// whole, as does a body that already fits.
     fn split(self, budget: usize) -> Vec<MultipartReplyBody> {
-        match self {
-            MultipartReplyBody::Flow(v) => split_runs(v, budget, FlowStatsEntry::encoded_len)
-                .into_iter()
-                .map(MultipartReplyBody::Flow)
-                .collect(),
-            MultipartReplyBody::PortStats(v) => split_runs(v, budget, |_| 112)
-                .into_iter()
-                .map(MultipartReplyBody::PortStats)
-                .collect(),
-            MultipartReplyBody::Table(v) => split_runs(v, budget, |_| 24)
-                .into_iter()
-                .map(MultipartReplyBody::Table)
-                .collect(),
-            MultipartReplyBody::PortDesc(v) => {
-                split_runs(v, budget, |_| crate::ports::PORT_DESC_LEN)
-                    .into_iter()
-                    .map(MultipartReplyBody::PortDesc)
-                    .collect()
+        let MultipartReplyBody::Flow(entries) = self else {
+            return vec![self];
+        };
+        let mut runs = vec![Vec::new()];
+        let mut used = 0;
+        for e in entries {
+            let n = e.encoded_len();
+            if used > 0 && used + n > budget {
+                runs.push(Vec::new());
+                used = 0;
             }
+            used += n;
+            runs.last_mut().expect("runs is never empty").push(e);
         }
+        runs.into_iter().map(MultipartReplyBody::Flow).collect()
     }
 
     /// Append the entries of a later part of the same reply. Returns
@@ -524,9 +504,10 @@ impl MultipartReplyBody {
         true
     }
 
-    /// Encode as one or more OFPT_MULTIPART_REPLY messages under `xid`,
-    /// each within [`MAX_MESSAGE_LEN`]: every part but the last carries
-    /// OFPMPF_REPLY_MORE, so a body of any size reaches the peer intact.
+    /// Encode as one or more OFPT_MULTIPART_REPLY messages under `xid`:
+    /// a flow-stats body is split into parts within [`MAX_MESSAGE_LEN`],
+    /// every part but the last carrying OFPMPF_REPLY_MORE, so a flow table
+    /// of any size reaches the peer intact.
     pub fn encode_parts(self, xid: u32) -> Vec<Vec<u8>> {
         let mut parts = self.split(MAX_MESSAGE_LEN - MULTIPART_REPLY_HEADER_LEN);
         let last = parts.pop().expect("split yields at least one part");
