@@ -9,7 +9,7 @@ use crate::{FeasibleUrpfApp, NoSavApp, StaticAclApp, StrictUrpfApp};
 use sav_border::BorderGuardApp;
 use sav_controller::app::App;
 use sav_controller::apps::L2RoutingApp;
-use sav_core::{SavApp, SavConfig, SavMode, StatsPollerApp};
+use sav_core::{CoverPolicy, SavApp, SavConfig, SavMode, StatsPollerApp};
 use sav_topo::routes::Routes;
 use sav_topo::Topology;
 use std::sync::Arc;
@@ -29,17 +29,19 @@ pub enum Mechanism {
     SdnSav,
     /// SDN-SAV without MAC matching (IP+port binding only).
     SdnSavNoMac,
-    /// SDN-SAV with per-port prefix aggregation (coarse mode).
+    /// SDN-SAV with per-port subnet rules (coarse mode,
+    /// [`CoverPolicy::Subnet`]).
     SdnSavAggregate,
     /// SDN-SAV with per-port *exact-cover* aggregation: minimal CIDR set
-    /// admitting precisely the bound addresses.
+    /// admitting precisely the bound addresses ([`CoverPolicy::Budget`]`(0)`).
     SdnSavAggregateExact,
     /// SDN-SAV in reactive (per-packet controller validation) mode.
     SdnSavReactive,
     /// SDN-SAV with FCFS data-plane learning instead of a static plan.
     SdnSavFcfs,
-    /// SDN-SAV with a per-port TCAM budget: host rules until the count
-    /// exceeds the budget, exact-cover compression beyond it. Parameterised,
+    /// SDN-SAV with a per-port TCAM budget ([`CoverPolicy::Budget`]): host
+    /// rules until the count exceeds the budget, exact-cover compression
+    /// beyond it. Parameterised,
     /// so it is not part of [`Mechanism::ALL`] — scenarios opt in with a
     /// concrete budget (Figure 1b sweeps it).
     SdnSavBudgeted(usize),
@@ -87,12 +89,11 @@ impl Mechanism {
                 ..base
             }),
             Mechanism::SdnSavAggregate => Some(SavConfig {
-                aggregate: true,
+                cover: CoverPolicy::Subnet,
                 ..base
             }),
             Mechanism::SdnSavAggregateExact => Some(SavConfig {
-                aggregate: true,
-                aggregate_exact: true,
+                cover: CoverPolicy::Budget(0),
                 ..base
             }),
             Mechanism::SdnSavReactive => Some(SavConfig {
@@ -105,7 +106,7 @@ impl Mechanism {
                 ..base
             }),
             Mechanism::SdnSavBudgeted(budget) => Some(SavConfig {
-                tcam_budget: Some(budget),
+                cover: CoverPolicy::Budget(budget),
                 ..base
             }),
             _ => None,
@@ -179,7 +180,14 @@ mod tests {
         assert!(Mechanism::NoSav.sav_config().is_none());
         assert!(Mechanism::SdnSav.sav_config().unwrap().match_mac);
         assert!(!Mechanism::SdnSavNoMac.sav_config().unwrap().match_mac);
-        assert!(Mechanism::SdnSavAggregate.sav_config().unwrap().aggregate);
+        assert_eq!(
+            Mechanism::SdnSavAggregate.sav_config().unwrap().cover,
+            CoverPolicy::Subnet
+        );
+        assert_eq!(
+            Mechanism::SdnSavAggregateExact.sav_config().unwrap().cover,
+            CoverPolicy::Budget(0)
+        );
         assert_eq!(
             Mechanism::SdnSavReactive.sav_config().unwrap().mode,
             SavMode::Reactive
@@ -187,8 +195,7 @@ mod tests {
         let fcfs = Mechanism::SdnSavFcfs.sav_config().unwrap();
         assert!(fcfs.fcfs && !fcfs.static_plan);
         let budgeted = Mechanism::SdnSavBudgeted(64).sav_config().unwrap();
-        assert_eq!(budgeted.tcam_budget, Some(64));
-        assert!(!budgeted.aggregate, "budgeted mode is per-host, not coarse");
+        assert_eq!(budgeted.cover, CoverPolicy::Budget(64));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! **Figure 1b (companion)** — the incremental rule compiler under TCAM
 //! budgets: table occupancy and recompile latency vs binding count at
-//! `tcam_budget ∈ {∞, 256, 64}`.
+//! budgets `{∞ (CoverPolicy::Host), 256, 64}` (`CoverPolicy::Budget(n)`).
 //!
 //! Each access port fronts a ¾-dense / ¼-sparse address mix (dense blocks
 //! compress well, sparse tails don't), so the budgeted modes show the
@@ -19,7 +19,7 @@
 
 use sav_bench::{write_json, write_result};
 use sav_controller::app::Ctx;
-use sav_core::{Binding, BindingSource, SavApp, SavConfig};
+use sav_core::{Binding, BindingSource, CoverPolicy, SavApp, SavConfig};
 use sav_metrics::Table;
 use sav_net::addr::MacAddr;
 use sav_openflow::messages::Message;
@@ -79,7 +79,7 @@ fn run_cell(bindings: &[Binding], budget: Option<usize>) -> Cell {
     let config = SavConfig {
         static_plan: false,
         dhcp_snooping: false,
-        tcam_budget: budget,
+        cover: budget.map_or(CoverPolicy::Host, CoverPolicy::Budget),
         ..SavConfig::default()
     };
     let mut app = SavApp::new(topo, config);

@@ -1,13 +1,14 @@
-//! Exact prefix compression: the optimization pass for the aggregated
-//! mode's precision/state tradeoff.
+//! Rule-shape policies and exact prefix compression: the optimization pass
+//! for the precision/state tradeoff of a port's allow rules.
 //!
-//! The default aggregated mode installs one *subnet* rule per port — small
-//! but over-permissive (unassigned addresses in the subnet pass). This
-//! module computes the **minimal exact CIDR cover** of a set of addresses:
-//! the smallest list of prefixes whose union is exactly that set. Rules
-//! compiled from the exact cover admit precisely the bound addresses while
-//! still merging dense ranges (a port fronting `10.0.1.64/26` worth of
-//! hosts costs 1 rule instead of 64).
+//! [`CoverPolicy`] decides, per port, whether the compiler keeps one rule
+//! per bound host or replaces them with prefix *covers*.
+//! [`desired_cover`] is the one place that decision is made; both the
+//! incremental and the wholesale compile call it. The exact covers come
+//! from [`exact_cover`]: the smallest list of prefixes whose union is
+//! exactly the bound set, so no unassigned address passes while dense
+//! ranges still merge (a port fronting `10.0.1.64/26` worth of hosts costs
+//! 1 rule instead of 64).
 //!
 //! Algorithm: sort, fold complete sibling pairs bottom-up — the classic
 //! CIDR aggregation, O(n log n).
@@ -50,22 +51,47 @@ pub fn exact_cover(addrs: &[Ipv4Addr]) -> Vec<Ipv4Cidr> {
     }
 }
 
-/// Budgeted (adaptive) aggregation: `None` while `addrs` fit within
-/// `budget` as plain host rules — precision costs nothing, keep it — and
-/// the exact cover once the count exceeds the budget. `budget: None`
-/// disables aggregation entirely.
+/// How the compiler shapes one port's allow rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CoverPolicy {
+    /// One per-host rule per binding: the paper's exact design.
+    #[default]
+    Host,
+    /// Per-host rules while the port holds at most `n` bindings, the
+    /// minimal exact cover of its addresses beyond that. `Budget(0)` is
+    /// always the exact cover.
+    Budget(usize),
+    /// One rule per topology subnet holding a bound address on the port:
+    /// fewest rules, but a same-subnet spoof on that port passes.
+    Subnet,
+}
+
+/// The prefix covers a port bound to `ips` compiles to under `policy`, or
+/// `None` for per-host rules. `Subnet` maps each address to the first of
+/// `subnets` containing it; an address outside every subnet gets no rule.
 ///
-/// The threshold is a pure function of the *current* set (no hysteresis):
-/// the incremental compiler and a from-scratch compile always agree on
-/// whether a port is aggregated, which the differential suite relies on.
-/// Note the cover is exact, so a sparse set may still exceed the budget —
-/// the budget triggers compression, it never trades precision for space.
-pub fn budgeted_cover(addrs: &[Ipv4Addr], budget: Option<usize>) -> Option<Vec<Ipv4Cidr>> {
-    let budget = budget?;
-    if addrs.len() > budget {
-        Some(exact_cover(addrs))
-    } else {
-        None
+/// The result is a pure function of the *current* set (no hysteresis):
+/// the incremental compiler and a from-scratch compile always agree on a
+/// port's shape, which the differential suite relies on. A budgeted cover
+/// is exact, so a sparse set may still exceed the budget — the budget
+/// triggers compression, it never trades precision for space.
+pub fn desired_cover(
+    ips: &[Ipv4Addr],
+    policy: CoverPolicy,
+    subnets: &[Ipv4Cidr],
+) -> Option<Vec<Ipv4Cidr>> {
+    match policy {
+        CoverPolicy::Host => None,
+        CoverPolicy::Budget(n) => (ips.len() > n).then(|| exact_cover(ips)),
+        CoverPolicy::Subnet => {
+            let mut covers: Vec<Ipv4Cidr> = ips
+                .iter()
+                .filter_map(|&ip| subnets.iter().find(|s| s.contains(ip)).copied())
+                .collect();
+            covers.sort_unstable();
+            covers.dedup();
+            Some(covers)
+        }
     }
 }
 
@@ -165,14 +191,16 @@ mod tests {
     #[test]
     fn budget_threshold_is_strictly_greater() {
         let addrs: Vec<Ipv4Addr> = (0..8u32).map(|i| Ipv4Addr::from(0x0a000000 + i)).collect();
+        let cover = |p| desired_cover(&addrs, p, &[]);
         // One below and exactly at the budget: host rules stay.
-        assert_eq!(budgeted_cover(&addrs, Some(9)), None);
-        assert_eq!(budgeted_cover(&addrs, Some(8)), None);
+        assert_eq!(cover(CoverPolicy::Budget(9)), None);
+        assert_eq!(cover(CoverPolicy::Budget(8)), None);
         // One past the budget: compress to the exact cover.
-        let c = budgeted_cover(&addrs, Some(7)).expect("over budget must compress");
+        let c = cover(CoverPolicy::Budget(7)).expect("over budget must compress");
         assert_eq!(c, vec!["10.0.0.0/29".parse().unwrap()]);
-        // No budget at all: never compress.
-        assert_eq!(budgeted_cover(&addrs, None), None);
+        // Budget 0 is the plain exact cover; Host never compresses.
+        assert_eq!(cover(CoverPolicy::Budget(0)), Some(exact_cover(&addrs)));
+        assert_eq!(cover(CoverPolicy::Host), None);
     }
 
     #[test]
@@ -181,8 +209,26 @@ mod tests {
         // still cost 4 prefixes. The budget triggers compression, it does
         // not cap the result.
         let addrs = ips(&["10.0.0.1", "10.0.0.3", "10.0.0.5", "10.0.0.7"]);
-        let c = budgeted_cover(&addrs, Some(3)).expect("over budget");
+        let c = desired_cover(&addrs, CoverPolicy::Budget(3), &[]).expect("over budget");
         assert_eq!(c.len(), 4);
         assert!(c.iter().all(|p| p.prefix_len() == 32));
+    }
+
+    #[test]
+    fn subnet_policy_maps_each_address_to_its_subnet() {
+        let subnets: Vec<Ipv4Cidr> = vec![
+            "10.0.0.0/24".parse().unwrap(),
+            "10.0.1.0/24".parse().unwrap(),
+        ];
+        let addrs = ips(&["10.0.1.9", "10.0.0.1", "10.0.1.3", "192.168.0.1"]);
+        // Two subnets, each once; the address outside both gets no rule.
+        assert_eq!(
+            desired_cover(&addrs, CoverPolicy::Subnet, &subnets),
+            Some(subnets.clone())
+        );
+        assert_eq!(
+            desired_cover(&ips(&["192.168.0.1"]), CoverPolicy::Subnet, &subnets),
+            Some(vec![])
+        );
     }
 }

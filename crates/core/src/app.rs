@@ -14,14 +14,15 @@
 //! by cookie) instead of blindly re-pushed — strays deleted, missing rules
 //! installed, matching rules kept with their switch-side timers intact.
 
+use crate::aggregate::CoverPolicy;
 use crate::binding::{Binding, BindingChange, BindingSource, BindingTable};
 use crate::commit::WalCommitter;
-use crate::compiler::{self, RuleCompiler};
+use crate::compiler::RuleCompiler;
 use crate::rules;
 use crate::{SAV_COOKIE, SAV_COOKIE_MASK};
 use sav_controller::app::{App, Ctx, Disposition};
 use sav_metrics::Counters;
-use sav_net::addr::{Ipv4Cidr, Ipv6Cidr, MacAddr};
+use sav_net::addr::{Ipv6Cidr, MacAddr};
 use sav_net::dhcpv4::{DhcpMessageType, DhcpRepr, DHCP_SERVER_PORT};
 use sav_net::packet::{L4Info, ParsedPacket};
 use sav_obs::{EventKind, Obs, Severity, Span, TraceId, TraceStageGuard};
@@ -34,7 +35,7 @@ use sav_openflow::prelude::Action;
 use sav_sim::{SimDuration, SimTime};
 use sav_store::{BindingRecord, BindingStore, RecordSource, WalOp};
 use sav_topo::{SwitchId, SwitchRole, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -99,13 +100,10 @@ pub struct SavConfig {
     pub fcfs: bool,
     /// Include `eth_src` in allow rules (binds IP to MAC, not just port).
     pub match_mac: bool,
-    /// Compile per-port *prefix* allows instead of per-host rules.
-    pub aggregate: bool,
-    /// With `aggregate`: use the minimal *exact* CIDR cover of the port's
-    /// bound addresses ([`crate::aggregate::exact_cover`]) instead of the
-    /// whole subnet — no unassigned address passes, dense blocks still
-    /// merge.
-    pub aggregate_exact: bool,
+    /// Shape of each port's proactive allow rules: per-host (the default),
+    /// an exact CIDR cover past a per-port budget, or one rule per subnet.
+    /// Every policy goes through the same [`RuleCompiler`].
+    pub cover: CoverPolicy,
     /// Enforce outbound SAV at edge switches.
     pub outbound: bool,
     /// Enforce inbound SAV at border switches.
@@ -127,13 +125,6 @@ pub struct SavConfig {
     /// with this configuration. `None` leaves the rule set byte-identical
     /// to a guard-less deployment.
     pub border: Option<BorderConfig>,
-    /// Per-port TCAM budget for adaptive aggregation (proactive per-host
-    /// mode only). A port's host allows are compressed into the exact CIDR
-    /// cover of its bound addresses once their count *exceeds* this budget,
-    /// and split back toward host rules when releases/migrations shrink the
-    /// set. `None` (the default) keeps pure per-host rules and leaves every
-    /// existing mode byte-identical.
-    pub tcam_budget: Option<usize>,
 }
 
 /// Configuration of the anti-amplification border guard. Lives in sav-core
@@ -198,8 +189,7 @@ impl Default for SavConfig {
             dhcp_snooping: true,
             fcfs: false,
             match_mac: true,
-            aggregate: false,
-            aggregate_exact: false,
+            cover: CoverPolicy::Host,
             outbound: true,
             inbound: true,
             dynamic_idle_timeout: 60,
@@ -207,7 +197,6 @@ impl Default for SavConfig {
             enforced_ases: None,
             internal_v6_prefixes: vec![],
             border: None,
-            tcam_budget: None,
         }
     }
 }
@@ -276,8 +265,8 @@ pub struct SavApp {
     /// Switches currently up (drives the `sav_connected_switches` gauge).
     connected: HashSet<u64>,
     /// Incremental compiler: per-(dpid, port) mirror + installed-rule cache
-    /// emitting minimal deltas. Owns rule placement on the proactive
-    /// per-host path (see [`SavApp::compiler_active`]).
+    /// emitting minimal deltas. Owns every proactive allow rule, whatever
+    /// the cover policy.
     compiler: RuleCompiler,
     /// Causal trace of the binding currently mid-upsert, with the dpid its
     /// enforcement lands on; stage hooks attach to it while set.
@@ -301,7 +290,8 @@ impl SavApp {
         let compiler = RuleCompiler::new(
             config.match_mac,
             config.dynamic_idle_timeout,
-            config.tcam_budget,
+            config.cover,
+            topo.subnets().into_iter().map(|(c, _)| c).collect(),
         );
         SavApp {
             topo,
@@ -399,39 +389,28 @@ impl SavApp {
     }
 
     /// Remove the binding for `ip` (operator action or programmatic
-    /// release) and retire its rules — under a TCAM budget a release inside
-    /// a covered block splits the cover. Returns the removed binding.
+    /// release) and retire its rules — a release inside a covered block
+    /// splits the cover. Returns the removed binding.
     pub fn release_binding(&mut self, ctx: &mut Ctx, ip: Ipv4Addr) -> Option<Binding> {
         let b = self.bindings.remove(ip)?;
-        self.log_op(ctx, WalOp::Remove(ip));
-        self.emit(Severity::Info, || EventKind::BindingExpired {
-            ip: ip.to_string(),
-            dpid: b.dpid,
-        });
-        let now = ctx.now();
-        self.retire_rules(ctx, &b, now);
+        self.retire_binding(ctx, &b, WalOp::Remove(ip));
         self.refresh_gauges();
         Some(b)
     }
 
     /// Sweep lease-expired bindings out of the table and retire their
     /// rules, returning how many died. Cover rules carry no switch-side
-    /// timers (one rule stands for many leases), so under a TCAM budget
-    /// [`App::on_poll`] drives this sweep; without a budget the switch's
-    /// own `FlowRemoved` remains the expiry signal and the sweep finds at
-    /// most bindings whose rules are about to report the same thing.
+    /// timers (one rule stands for many leases), so under any policy but
+    /// [`CoverPolicy::Host`] [`App::on_poll`] drives this sweep; with host
+    /// rules the switch's own `FlowRemoved` remains the expiry signal and
+    /// the sweep finds at most bindings whose rules are about to report the
+    /// same thing.
     pub fn sweep_expired(&mut self, ctx: &mut Ctx) -> usize {
-        let now = ctx.now();
-        let dead = self.bindings.expire(now);
+        let dead = self.bindings.expire(ctx.now());
         let n = dead.len();
         for b in dead {
-            self.log_op(ctx, WalOp::Expire(b.ip));
             self.stats.bindings_expired += 1;
-            self.emit(Severity::Info, || EventKind::BindingExpired {
-                ip: b.ip.to_string(),
-                dpid: b.dpid,
-            });
-            self.retire_rules(ctx, &b, now);
+            self.retire_binding(ctx, &b, WalOp::Expire(b.ip));
         }
         if n > 0 {
             self.refresh_gauges();
@@ -440,8 +419,8 @@ impl SavApp {
     }
 
     /// Allow rules the incremental compiler believes are installed across
-    /// all switches (hosts + covers) — the TCAM-occupancy metric the
-    /// budget bounds per port.
+    /// all switches (hosts + covers) — the TCAM-occupancy metric a
+    /// [`CoverPolicy::Budget`] bounds per port.
     pub fn compiled_rule_count(&self) -> usize {
         self.compiler.installed_total()
     }
@@ -576,8 +555,7 @@ impl SavApp {
         obs.gauges.set("sav_bindings", self.bindings.len() as f64);
         obs.gauges
             .set("sav_connected_switches", self.connected.len() as f64);
-        let mut per_switch: std::collections::BTreeMap<u64, u64> =
-            std::collections::BTreeMap::new();
+        let mut per_switch: BTreeMap<u64, u64> = BTreeMap::new();
         for b in self.bindings.iter() {
             *per_switch.entry(b.dpid).or_default() += 1;
         }
@@ -600,24 +578,20 @@ impl SavApp {
         self.config.mode == SavMode::Reactive || self.config.fcfs
     }
 
-    /// Reconciliation needs a one-to-one binding↔rule mapping, which only
-    /// the proactive non-aggregate mode has; other modes fall back to the
-    /// blind re-push path.
-    fn reconcile_enabled(&self) -> bool {
-        self.recovered && self.config.mode == SavMode::Proactive && !self.config.aggregate
+    fn proactive(&self) -> bool {
+        self.config.mode == SavMode::Proactive
     }
 
-    /// Every SAV rule this edge switch *should* have right now: trunk
-    /// pass-throughs, the default deny, DHCP snoop rules, and one allow per
-    /// binding anchored here. The reconciliation target set.
-    fn desired_edge_rules(&self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
-        let Some(sid) = SwitchId::from_dpid(dpid) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for port in self.topo.trunk_ports(sid) {
-            out.push(rules::trunk_allow(port));
-        }
+    /// The SAV rules every edge switch holds whatever its bindings: trunk
+    /// pass-throughs, the default deny and the DHCP snoop rules.
+    fn base_edge_rules(&self, sid: SwitchId) -> Vec<FlowMod> {
+        let dpid = sid.dpid();
+        let mut out: Vec<FlowMod> = self
+            .topo
+            .trunk_ports(sid)
+            .into_iter()
+            .map(rules::trunk_allow)
+            .collect();
         out.push(rules::edge_default_deny(self.punt_mode()));
         if self.config.dhcp_snooping {
             out.push(rules::dhcp_client_permit());
@@ -627,24 +601,24 @@ impl SavApp {
                 }
             }
         }
-        // Per-port wholesale compile — under a TCAM budget dense ports
-        // come out as exact covers, exactly as the incremental path leaves
-        // them, so reconciliation keeps (not churns) a recovered cover.
-        let mut by_port: std::collections::BTreeMap<
-            u32,
-            std::collections::BTreeMap<Ipv4Addr, Binding>,
-        > = std::collections::BTreeMap::new();
+        out
+    }
+
+    /// Every SAV rule this edge switch *should* have right now: the base
+    /// rules plus the compiler's wholesale compile of each port's bindings,
+    /// exactly as the incremental path leaves them — so reconciliation
+    /// keeps (not churns) a recovered cover. The reconciliation target set.
+    fn desired_edge_rules(&self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
+        let Some(sid) = SwitchId::from_dpid(dpid) else {
+            return Vec::new();
+        };
+        let mut out = self.base_edge_rules(sid);
+        let mut by_port: BTreeMap<u32, BTreeMap<Ipv4Addr, Binding>> = BTreeMap::new();
         for b in self.bindings.on_switch(dpid) {
             by_port.entry(b.port).or_default().insert(b.ip, *b);
         }
         for bs in by_port.values() {
-            out.extend(compiler::compile_port(
-                bs,
-                self.config.match_mac,
-                self.config.dynamic_idle_timeout,
-                self.config.tcam_budget,
-                now,
-            ));
+            out.extend(self.compiler.compile_port(bs, now));
         }
         out
     }
@@ -708,21 +682,11 @@ impl SavApp {
         self.counters.add("reconciled_kept", kept);
         self.counters.add("reconciled_deleted", deleted);
         self.counters.add("reconciled_installed", installed);
-        if self.compiler_active() {
-            // The switch now holds exactly the desired set: hand the
-            // compiler a primed cache so the next binding change is an
-            // incremental delta, not a blind reinstall.
-            let on_switch: Vec<Binding> = self.bindings.on_switch(dpid).copied().collect();
-            self.compiler.prime_switch(dpid, &on_switch);
-        }
-    }
-
-    fn subnet_of(&self, ip: Ipv4Addr) -> Option<Ipv4Cidr> {
-        self.topo
-            .subnets()
-            .into_iter()
-            .map(|(c, _)| c)
-            .find(|c| c.contains(ip))
+        // The switch now holds exactly the desired set: hand the compiler a
+        // primed cache so the next binding change is an incremental delta,
+        // not a blind reinstall.
+        self.compiler
+            .prime_switch(dpid, self.bindings.on_switch(dpid));
     }
 
     /// RFC 6620-style prefix guard: FCFS may only claim addresses within a
@@ -734,14 +698,6 @@ impl SavApp {
             return false;
         };
         self.topo.hosts_on(sid).any(|h| h.subnet.contains(ip))
-    }
-
-    /// The incremental compiler owns rule placement for the proactive
-    /// per-host path, with or without a TCAM budget. Reactive mode installs
-    /// no proactive allows and the legacy whole-subnet aggregate modes keep
-    /// their coarse one-shot compilation.
-    fn compiler_active(&self) -> bool {
-        self.config.mode == SavMode::Proactive && !self.config.aggregate
     }
 
     /// Ship a compiled delta to `dpid`: count and journal each mod, then
@@ -786,93 +742,46 @@ impl SavApp {
         }
     }
 
-    /// Place (or refresh) the rules `b` needs. On the compiler path this is
-    /// a minimal delta — zero mods for a no-op refresh, a cover
-    /// re-derivation when crossing the TCAM budget.
+    /// Place (or refresh) the rules `b` needs: a minimal compiler delta —
+    /// zero mods for a no-op refresh, a cover re-derivation when the port's
+    /// shape changes. Reactive mode keeps the table, not the rules.
     fn place_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.compiler_active() {
-            let delta = {
-                let _span = self.span("rule_compile");
-                let _trace = self.trace_stage("compile");
-                self.compiler.bind(b, now)
-            };
-            self.ship_delta(ctx, b.dpid, delta);
-        } else {
-            self.install_allow(ctx, b, now);
-        }
-    }
-
-    /// Retire the rules `b` no longer justifies. On the compiler path a
-    /// release inside a covered block re-derives (splits) the cover.
-    fn retire_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.compiler_active() {
-            let delta = self.compiler.unbind(b, now);
-            self.ship_delta(ctx, b.dpid, delta);
-        } else {
-            self.delete_allow(ctx, b);
-        }
-    }
-
-    fn install_allow(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.config.mode == SavMode::Reactive {
-            return; // reactive mode keeps the table, not the rules
-        }
-        let _span = self.span("rule_compile");
-        let fm = if self.config.aggregate {
-            if self.config.aggregate_exact {
-                // Incremental exactness: a dynamically learned binding gets
-                // its own host-prefix rule; the dense static blocks were
-                // compressed at switch-up.
-                rules::prefix_allow(b.port, Ipv4Cidr::host(b.ip))
-            } else if let Some(prefix) = self.subnet_of(b.ip) {
-                rules::prefix_allow(b.port, prefix)
-            } else {
-                return;
-            }
-        } else {
-            self.compile_allow(b, now)
-        };
-        self.emit(Severity::Info, || EventKind::RuleInstalled {
-            dpid: b.dpid,
-            cookie: fm.cookie,
-            priority: fm.priority,
-        });
-        if let Some(obs) = &self.obs {
-            obs.counters.incr("sav_rules_installed_total");
-        }
-        ctx.install(b.dpid, fm);
-        self.stats.rules_installed += 1;
-    }
-
-    /// The per-binding allow rule with lifecycle timeouts (non-aggregate
-    /// proactive shape) — shared by fresh installs and reconciliation.
-    /// Delegates to the compiler's [`compiler::host_flow`] so the
-    /// incremental and wholesale paths can never drift apart.
-    fn compile_allow(&self, b: &Binding, now: SimTime) -> FlowMod {
-        compiler::host_flow(
-            b,
-            self.config.match_mac,
-            self.config.dynamic_idle_timeout,
-            now,
-        )
-    }
-
-    fn delete_allow(&mut self, ctx: &mut Ctx, b: &Binding) {
-        if self.config.mode == SavMode::Reactive || self.config.aggregate {
+        if !self.proactive() {
             return;
         }
-        self.emit(Severity::Info, || EventKind::RuleDeleted {
-            dpid: b.dpid,
-            cookie: rules::allow_cookie(b),
-        });
-        if let Some(obs) = &self.obs {
-            obs.counters.incr("sav_rules_deleted_total");
-        }
-        ctx.install(b.dpid, rules::binding_delete(b, self.config.match_mac));
-        self.stats.rules_deleted += 1;
+        let delta = {
+            let _span = self.span("rule_compile");
+            let _trace = self.trace_stage("compile");
+            self.compiler.bind(b, now)
+        };
+        self.ship_delta(ctx, b.dpid, delta);
     }
 
-    fn apply_upsert(&mut self, ctx: &mut Ctx, b: Binding, now: SimTime) -> BindingChange {
+    /// Retire the rules `b` no longer justifies: its host rule, or the
+    /// re-derived (split or retired) covers of its port.
+    fn retire_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
+        if !self.proactive() {
+            return;
+        }
+        let delta = self.compiler.unbind(b, now);
+        self.ship_delta(ctx, b.dpid, delta);
+    }
+
+    /// Log and journal the end of `b`, already out of the table, and retire
+    /// its rules.
+    fn retire_binding(&mut self, ctx: &mut Ctx, b: &Binding, op: WalOp) {
+        self.log_op(ctx, op);
+        self.emit(Severity::Info, || EventKind::BindingExpired {
+            ip: b.ip.to_string(),
+            dpid: b.dpid,
+        });
+        let now = ctx.now();
+        self.retire_rules(ctx, b, now);
+    }
+
+    /// Record `b` in the table and the WAL, then count and journal what
+    /// changed — everything an upsert does except placing rules.
+    fn record_upsert(&mut self, ctx: &mut Ctx, b: Binding, now: SimTime) -> BindingChange {
         let change = self.bindings.upsert(b, now);
         match &change {
             BindingChange::Added => {
@@ -887,16 +796,11 @@ impl SavApp {
                     port: b.port,
                     source: source_label(b.source),
                 });
-                self.place_rules(ctx, &b, now);
             }
             BindingChange::Refreshed => {
                 // Logged even though the location is unchanged: a refresh
                 // carries a new lease expiry that recovery must see.
                 self.log_op(ctx, WalOp::Upsert(to_record(&b)));
-                // Re-derive the port's rules: a refresh that changes no
-                // match field or lease emits nothing; a renewed lease
-                // re-Adds the same match, refreshing the hard timeout.
-                self.place_rules(ctx, &b, now);
             }
             BindingChange::Moved(old) => {
                 self.log_op(ctx, WalOp::Migrate(to_record(&b)));
@@ -909,19 +813,6 @@ impl SavApp {
                     dpid: b.dpid,
                     port: b.port,
                 });
-                if self.compiler_active() {
-                    // An in-place takeover (same port, new MAC) is a single
-                    // port delta — the compiler strict-deletes the old-MAC
-                    // rule and adds the new one itself. A genuine move also
-                    // retires the old attachment's rules first.
-                    if (old.dpid, old.port) != (b.dpid, b.port) {
-                        self.retire_rules(ctx, &old, now);
-                    }
-                    self.place_rules(ctx, &b, now);
-                } else {
-                    self.delete_allow(ctx, &old);
-                    self.install_allow(ctx, &b, now);
-                }
             }
             BindingChange::Conflict(_) => {
                 self.stats.conflicts += 1;
@@ -932,8 +823,63 @@ impl SavApp {
                 });
             }
         }
+        change
+    }
+
+    fn apply_upsert(&mut self, ctx: &mut Ctx, b: Binding, now: SimTime) -> BindingChange {
+        let change = self.record_upsert(ctx, b, now);
+        match change {
+            // A refresh that changes no match field or lease emits nothing;
+            // a renewed lease re-Adds the same match, refreshing its timer.
+            BindingChange::Added | BindingChange::Refreshed => self.place_rules(ctx, &b, now),
+            BindingChange::Moved(old) => {
+                // An in-place takeover (same port, new MAC) is a single
+                // port delta — the compiler strict-deletes the old-MAC rule
+                // and adds the new one itself. A genuine move also retires
+                // the old attachment's rules first.
+                if (old.dpid, old.port) != (b.dpid, b.port) {
+                    self.retire_rules(ctx, &old, now);
+                }
+                self.place_rules(ctx, &b, now);
+            }
+            BindingChange::Conflict(_) => {}
+        }
         self.refresh_gauges();
         change
+    }
+
+    /// Seed the static plan's bindings on `sid` into the table only (WAL,
+    /// counters and journal included), in every mode; the switch-up then
+    /// ships their rules as one batch or reconciles them. A seed already held unchanged is skipped,
+    /// so a reconnect appends nothing. A seed that moves a binding off
+    /// another switch retires the rules it left there.
+    fn seed_static(&mut self, ctx: &mut Ctx, sid: SwitchId, now: SimTime) {
+        if !self.config.static_plan {
+            return;
+        }
+        let dpid = sid.dpid();
+        let seeds: Vec<Binding> = self
+            .topo
+            .hosts_on(sid)
+            .map(|h| Binding {
+                ip: h.ip,
+                mac: h.mac,
+                dpid,
+                port: h.port,
+                source: BindingSource::Static,
+                expires: None,
+            })
+            .collect();
+        for b in seeds {
+            if self.bindings.get(b.ip) == Some(&b) {
+                continue;
+            }
+            if let BindingChange::Moved(old) = self.record_upsert(ctx, b, now) {
+                if old.dpid != dpid {
+                    self.retire_rules(ctx, &old, now);
+                }
+            }
+        }
     }
 
     fn snoop_dhcp(
@@ -970,13 +916,7 @@ impl SavApp {
                         .filter(|b| b.mac == msg.client_mac)
                     {
                         self.bindings.remove(b.ip);
-                        self.log_op(ctx, WalOp::Remove(b.ip));
-                        self.emit(Severity::Info, || EventKind::BindingExpired {
-                            ip: b.ip.to_string(),
-                            dpid: b.dpid,
-                        });
-                        let now = ctx.now();
-                        self.retire_rules(ctx, &b, now);
+                        self.retire_binding(ctx, &b, WalOp::Remove(b.ip));
                         self.refresh_gauges();
                     }
                 }
@@ -1173,32 +1113,12 @@ impl App for SavApp {
         if !(self.config.outbound && node.role == SwitchRole::Edge) {
             return;
         }
-        if self.reconcile_enabled() {
-            // Recovered controller: seed/refresh the static plan into the
-            // *table* only, then ask the switch what it actually has — the
-            // rule pushes come out of the flow-stats diff, not a blind
-            // re-install.
-            if self.config.static_plan {
-                let now = ctx.now();
-                let seeds: Vec<Binding> = self
-                    .topo
-                    .hosts_on(sid)
-                    .map(|h| Binding {
-                        ip: h.ip,
-                        mac: h.mac,
-                        dpid,
-                        port: h.port,
-                        source: BindingSource::Static,
-                        expires: None,
-                    })
-                    .collect();
-                for b in seeds {
-                    if matches!(self.bindings.upsert(b, now), BindingChange::Added) {
-                        self.log_op(ctx, WalOp::Upsert(to_record(&b)));
-                        self.stats.bindings_added += 1;
-                    }
-                }
-            }
+        let now = ctx.now();
+        self.seed_static(ctx, sid, now);
+        if self.recovered && self.proactive() {
+            // Recovered controller: ask the switch what it actually has —
+            // the rule pushes come out of the flow-stats diff (against the
+            // compiler's wholesale output), not a blind re-install.
             self.refresh_gauges();
             self.reconciling.insert(dpid);
             ctx.send(
@@ -1212,118 +1132,19 @@ impl App for SavApp {
             );
             return;
         }
-        for port in self.topo.trunk_ports(sid) {
-            ctx.install(dpid, rules::trunk_allow(port));
+        for fm in self.base_edge_rules(sid) {
+            ctx.install(dpid, fm);
             self.stats.rules_installed += 1;
         }
-        ctx.install(dpid, rules::edge_default_deny(self.punt_mode()));
-        self.stats.rules_installed += 1;
-        if self.config.dhcp_snooping {
-            ctx.install(dpid, rules::dhcp_client_permit());
-            self.stats.rules_installed += 1;
-            for &(sdpid, sport) in &self.config.trusted_dhcp_ports {
-                if sdpid == dpid {
-                    ctx.install(dpid, rules::dhcp_server_trust(sport));
-                    self.stats.rules_installed += 1;
-                }
-            }
-        }
-        if self.config.static_plan {
-            let now = ctx.now();
-            let seeds: Vec<Binding> = self
-                .topo
-                .hosts_on(sid)
-                .map(|h| Binding {
-                    ip: h.ip,
-                    mac: h.mac,
-                    dpid,
-                    port: h.port,
-                    source: BindingSource::Static,
-                    expires: None,
-                })
-                .collect();
-            if self.config.aggregate && self.config.aggregate_exact {
-                // Group addresses per port and compile the minimal exact
-                // cover of each group.
-                let mut by_port: std::collections::BTreeMap<u32, Vec<Ipv4Addr>> =
-                    std::collections::BTreeMap::new();
-                for b in &seeds {
-                    by_port.entry(b.port).or_default().push(b.ip);
-                    self.bindings.upsert(*b, now);
-                    self.log_op(ctx, WalOp::Upsert(to_record(b)));
-                    self.stats.bindings_added += 1;
-                }
-                for (port, ips) in by_port {
-                    for prefix in crate::aggregate::exact_cover(&ips) {
-                        ctx.install(dpid, rules::prefix_allow(port, prefix));
-                        self.stats.rules_installed += 1;
-                    }
-                }
-            } else if self.config.aggregate {
-                let mut seen_ports = HashSet::new();
-                for b in seeds {
-                    // One prefix rule per port, not per host.
-                    let fresh = seen_ports.insert(b.port);
-                    self.bindings.upsert(b, now);
-                    self.log_op(ctx, WalOp::Upsert(to_record(&b)));
-                    self.stats.bindings_added += 1;
-                    if fresh {
-                        self.install_allow(ctx, &b, now);
-                    }
-                }
-            } else if self.compiler_active() {
-                // Seed the table only; the rules ship as one switch-wide
-                // batch below instead of one flow-mod round-trip per host.
-                for b in seeds {
-                    match self.bindings.upsert(b, now) {
-                        BindingChange::Added => {
-                            self.log_op(ctx, WalOp::Upsert(to_record(&b)));
-                            self.stats.bindings_added += 1;
-                            self.emit(Severity::Info, || EventKind::BindingLearned {
-                                ip: b.ip.to_string(),
-                                mac: b.mac.to_string(),
-                                dpid: b.dpid,
-                                port: b.port,
-                                source: source_label(b.source),
-                            });
-                        }
-                        BindingChange::Refreshed => {
-                            self.log_op(ctx, WalOp::Upsert(to_record(&b)));
-                        }
-                        BindingChange::Moved(old) => {
-                            self.log_op(ctx, WalOp::Migrate(to_record(&b)));
-                            self.stats.bindings_moved += 1;
-                            if old.dpid != dpid {
-                                let d = self.compiler.unbind(&old, now);
-                                self.ship_delta(ctx, old.dpid, d);
-                            }
-                        }
-                        BindingChange::Conflict(_) => {
-                            self.stats.conflicts += 1;
-                        }
-                    }
-                }
-            } else {
-                // Reactive mode: standard path, which installs nothing.
-                for b in seeds {
-                    self.apply_upsert(ctx, b, now);
-                }
-            }
-        }
-        if self.compiler_active() {
+        if self.proactive() {
             // The switch (re)connected with a table we must assume fresh:
             // rebuild its compiled state from scratch and push it as one
             // fenced batch — covering the static seeds above plus anything
             // learned dynamically before a reconnect.
-            let now = ctx.now();
             let delta = {
                 let _span = self.span("rule_compile");
-                self.compiler.forget_switch(dpid);
-                let on_switch: Vec<Binding> = self.bindings.on_switch(dpid).copied().collect();
-                for b in &on_switch {
-                    self.compiler.stage(b);
-                }
-                self.compiler.sync_switch(dpid, now)
+                self.compiler
+                    .rebuild_switch(dpid, self.bindings.on_switch(dpid), now)
             };
             self.ship_delta(ctx, dpid, delta);
         }
@@ -1409,7 +1230,7 @@ impl App for SavApp {
                     ip: ip.to_string(),
                     dpid,
                 });
-                if self.compiler_active() {
+                if self.proactive() {
                     // The switch already dropped the rule; evict it from
                     // the cache without a delete. Under a budget the
                     // shrunken set may re-derive the port's cover.
@@ -1447,23 +1268,17 @@ impl App for SavApp {
             .collect();
         for b in doomed {
             self.bindings.remove(b.ip);
-            self.log_op(ctx, WalOp::Remove(b.ip));
             self.stats.bindings_expired += 1;
-            self.emit(Severity::Info, || EventKind::BindingExpired {
-                ip: b.ip.to_string(),
-                dpid: b.dpid,
-            });
-            let now = ctx.now();
-            self.retire_rules(ctx, &b, now);
+            self.retire_binding(ctx, &b, WalOp::Remove(b.ip));
         }
         self.refresh_gauges();
     }
 
     fn on_poll(&mut self, ctx: &mut Ctx, _dpid: u64) {
-        // Cover rules carry no switch-side timers, so lease expiry under a
-        // TCAM budget is controller-driven. Without a budget the switch's
-        // FlowRemoved stays the sole expiry signal, exactly as before.
-        if self.config.tcam_budget.is_some() {
+        // Cover rules carry no switch-side timers, so lease expiry under
+        // any cover policy is controller-driven. With host rules the
+        // switch's FlowRemoved stays the sole expiry signal.
+        if self.config.cover != CoverPolicy::Host {
             self.sweep_expired(ctx);
         }
     }
@@ -1538,7 +1353,7 @@ mod tests {
     #[test]
     fn aggregate_mode_installs_one_prefix_rule_per_port() {
         let (topo, mut app) = mk(SavConfig {
-            aggregate: true,
+            cover: CoverPolicy::Subnet,
             ..SavConfig::default()
         });
         let dpid = topo.switches()[0].id.dpid();
@@ -2178,7 +1993,7 @@ mod tests {
     fn budgeted_port_compresses_and_splits_on_release() {
         let (topo, mut app) = mk(SavConfig {
             static_plan: false,
-            tcam_budget: Some(2),
+            cover: CoverPolicy::Budget(2),
             ..SavConfig::default()
         });
         let dpid = topo.switches()[0].id.dpid();
@@ -2223,5 +2038,106 @@ mod tests {
         for fm in &mods {
             assert_eq!(fm.cookie & crate::SAV_COOKIE_MASK, crate::SAV_COOKIE);
         }
+    }
+
+    /// A model switch table: every flow-mod the app emitted, folded in
+    /// order, keyed by (dpid, priority, match).
+    type Folded = std::collections::HashMap<(u64, u16, String), FlowMod>;
+
+    fn fold(table: &mut Folded, ctx: Ctx) {
+        for (dpid, fm) in flow_mods(ctx) {
+            let key = (dpid, fm.priority, format!("{:?}", fm.match_));
+            match fm.command {
+                FlowModCommand::Add => {
+                    table.insert(key, fm);
+                }
+                _ => {
+                    table.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// True if some SAV allow in `table` admits source `ip`.
+    fn admits(table: &Folded, ip: Ipv4Addr) -> bool {
+        table.values().any(|fm| {
+            fm.priority == crate::PRIO_ALLOW
+                && fm.match_.fields().iter().any(|f| match f {
+                    OxmField::Ipv4Src(net, Some(mask)) => {
+                        u32::from(*net) & u32::from(*mask) == u32::from(ip) & u32::from(*mask)
+                    }
+                    OxmField::Ipv4Src(net, None) => *net == ip,
+                    _ => false,
+                })
+        })
+    }
+
+    fn dhcp_binding(ip: &str, dpid: u64, port: u32, expires: u64) -> Binding {
+        Binding {
+            ip: ip.parse().unwrap(),
+            mac: MacAddr::from_index(u64::from(u32::from(ip.parse::<Ipv4Addr>().unwrap()))),
+            dpid,
+            port,
+            source: BindingSource::Dhcp,
+            expires: Some(SimTime::from_secs(expires)),
+        }
+    }
+
+    #[test]
+    fn release_of_a_ports_last_binding_retires_its_cover() {
+        for cover in [CoverPolicy::Subnet, CoverPolicy::Budget(0)] {
+            let (topo, mut app) = mk(SavConfig {
+                static_plan: false,
+                cover,
+                ..SavConfig::default()
+            });
+            let dpid = topo.switches()[0].id.dpid();
+            let mut table = Folded::new();
+            let mut ctx = Ctx::new(SimTime::ZERO);
+            app.on_switch_up(&mut ctx, dpid);
+            fold(&mut table, ctx);
+            let b = dhcp_binding("10.0.0.40", dpid, 9, 600);
+            let mut ctx = Ctx::new(SimTime::ZERO);
+            app.upsert_binding(&mut ctx, b);
+            fold(&mut table, ctx);
+            assert!(admits(&table, b.ip), "{cover:?}: bound address admitted");
+
+            let mut ctx = Ctx::new(SimTime::from_secs(1));
+            assert!(app.release_binding(&mut ctx, b.ip).is_some());
+            fold(&mut table, ctx);
+            assert!(
+                !admits(&table, b.ip),
+                "{cover:?}: an allow outlived the port's last binding"
+            );
+            assert_eq!(app.compiled_rule_count(), 0);
+        }
+    }
+
+    #[test]
+    fn poll_sweeps_expired_leases_under_a_cover_policy() {
+        let (topo, mut app) = mk(SavConfig {
+            static_plan: false,
+            cover: CoverPolicy::Subnet,
+            ..SavConfig::default()
+        });
+        let dpid = topo.switches()[0].id.dpid();
+        let mut table = Folded::new();
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, dpid);
+        fold(&mut table, ctx);
+        let b = dhcp_binding("10.0.0.41", dpid, 9, 60);
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.upsert_binding(&mut ctx, b);
+        fold(&mut table, ctx);
+        assert!(admits(&table, b.ip));
+
+        // The subnet cover carries no timer, so no FlowRemoved ever comes:
+        // the poll tick after the lease ends must retire binding and rule.
+        let mut ctx = Ctx::new(SimTime::from_secs(61));
+        app.on_poll(&mut ctx, dpid);
+        fold(&mut table, ctx);
+        assert!(app.bindings().get(b.ip).is_none(), "lease swept");
+        assert_eq!(app.stats.bindings_expired, 1);
+        assert!(!admits(&table, b.ip), "cover retired with the lease");
     }
 }

@@ -1,5 +1,6 @@
 //! The incremental rule compiler: a per-`(switch, port)` compiled-state
-//! cache that turns binding changes into **minimal flow-mod deltas**.
+//! cache that turns binding changes into **minimal flow-mod deltas**. It is
+//! the only place proactive allow rules are decided.
 //!
 //! [`crate::rules`] maps one binding to one rule; this module owns the next
 //! layer up — *which* rules each port should hold right now, and what must
@@ -10,23 +11,24 @@
 //! deletes, so a legitimately bound source is never without a matching rule
 //! mid-transition.
 //!
-//! With a TCAM budget configured ([`crate::SavConfig::tcam_budget`]), a
-//! port whose per-host rule count exceeds the budget is compressed to the
-//! minimal exact CIDR cover of its bound addresses
-//! ([`crate::aggregate::budgeted_cover`]); a release or migration inside a
-//! covered block re-derives the cover, splitting it back toward host rules.
+//! The port's shape comes from its [`CoverPolicy`]
+//! ([`crate::SavConfig::cover`]) through [`aggregate::desired_cover`]:
+//! per-host rules, the minimal exact CIDR cover once the port holds more
+//! than a budget of bindings, or one rule per topology subnet. A release
+//! or migration re-derives the covers, splitting them back toward host
+//! rules or retiring a subnet rule with its port's last binding.
 //! Because the desired set is **pure** — no hysteresis, no dependence on
 //! the order changes arrived in — the incremental output always converges
-//! to exactly what a from-scratch compile of the final binding table would
-//! produce. That equivalence is the contract the differential suite in
-//! `tests/proptests.rs` enforces.
+//! to exactly what a from-scratch compile ([`RuleCompiler::compile_port`])
+//! of the final binding table would produce. That equivalence is the
+//! contract the differential suite in `tests/proptests.rs` enforces.
 //!
 //! Cookie attribution is preserved across both shapes: host rules keep the
 //! kind-0 `SAV_COOKIE | ip` cookie (readable by `on_flow_removed` and the
 //! stats poller), covers carry the kind-`0xffff` prefix cookie that both
 //! consumers already ignore.
 
-use crate::aggregate;
+use crate::aggregate::{self, CoverPolicy};
 use crate::binding::{Binding, BindingSource};
 use crate::rules;
 use sav_net::addr::{Ipv4Cidr, MacAddr};
@@ -94,44 +96,17 @@ pub fn host_flow(b: &Binding, match_mac: bool, dynamic_idle_timeout: u16, now: S
     rules::binding_allow(b, match_mac, idle, hard)
 }
 
-/// From-scratch compile of one port's bindings: the wholesale semantics the
-/// incremental path must agree with. [`crate::SavApp`] uses it to build the
-/// reconciliation target set; the differential suite compares the
-/// incremental compiler's net effect against exactly this output.
-pub fn compile_port(
-    bindings: &BTreeMap<Ipv4Addr, Binding>,
-    match_mac: bool,
-    dynamic_idle_timeout: u16,
-    budget: Option<usize>,
-    now: SimTime,
-) -> Vec<FlowMod> {
-    let Some(first) = bindings.values().next() else {
-        return Vec::new();
-    };
-    let port = first.port;
-    let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
-    match aggregate::budgeted_cover(&ips, budget) {
-        Some(cover) => cover
-            .into_iter()
-            .map(|c| rules::cover_allow(port, c))
-            .collect(),
-        None => bindings
-            .values()
-            .map(|b| host_flow(b, match_mac, dynamic_idle_timeout, now))
-            .collect(),
-    }
-}
-
 /// The desired rule set of one port as identity → shape, derived purely
-/// from the binding mirror and the budget.
+/// from the binding mirror and the cover policy.
 fn desired_specs(
     bindings: &BTreeMap<Ipv4Addr, Binding>,
-    budget: Option<usize>,
+    cover: CoverPolicy,
+    subnets: &[Ipv4Cidr],
     match_mac: bool,
 ) -> BTreeMap<RuleId, RuleSpec> {
     let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
-    match aggregate::budgeted_cover(&ips, budget) {
-        Some(cover) => cover
+    match aggregate::desired_cover(&ips, cover, subnets) {
+        Some(covers) => covers
             .into_iter()
             .map(|c| (RuleId::Cover(c), RuleSpec::Cover))
             .collect(),
@@ -156,26 +131,58 @@ fn desired_specs(
 pub struct RuleCompiler {
     match_mac: bool,
     dynamic_idle_timeout: u16,
-    budget: Option<usize>,
+    cover: CoverPolicy,
+    /// The topology's subnets, which [`CoverPolicy::Subnet`] maps to.
+    subnets: Vec<Ipv4Cidr>,
     ports: BTreeMap<(u64, u32), PortState>,
 }
 
 impl RuleCompiler {
     /// A compiler with no cached state.
-    pub fn new(match_mac: bool, dynamic_idle_timeout: u16, budget: Option<usize>) -> RuleCompiler {
+    pub fn new(
+        match_mac: bool,
+        dynamic_idle_timeout: u16,
+        cover: CoverPolicy,
+        subnets: Vec<Ipv4Cidr>,
+    ) -> RuleCompiler {
         RuleCompiler {
             match_mac,
             dynamic_idle_timeout,
-            budget,
+            cover,
+            subnets,
             ports: BTreeMap::new(),
         }
     }
 
+    /// From-scratch compile of one port's bindings, ignoring the cache: the
+    /// wholesale semantics the incremental path must agree with.
+    /// [`crate::SavApp`] uses it to build the reconciliation target set;
+    /// the differential suite compares the incremental compiler's net
+    /// effect against exactly this output.
+    pub fn compile_port(
+        &self,
+        bindings: &BTreeMap<Ipv4Addr, Binding>,
+        now: SimTime,
+    ) -> Vec<FlowMod> {
+        let Some(first) = bindings.values().next() else {
+            return Vec::new();
+        };
+        let port = first.port;
+        let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
+        match aggregate::desired_cover(&ips, self.cover, &self.subnets) {
+            Some(covers) => covers
+                .into_iter()
+                .map(|c| rules::cover_allow(port, c))
+                .collect(),
+            None => bindings
+                .values()
+                .map(|b| host_flow(b, self.match_mac, self.dynamic_idle_timeout, now))
+                .collect(),
+        }
+    }
+
     /// Mirror-only upsert: record the binding without computing a delta.
-    /// Used for bulk seeding at switch-up; follow with [`sync_switch`].
-    ///
-    /// [`sync_switch`]: RuleCompiler::sync_switch
-    pub fn stage(&mut self, b: &Binding) {
+    fn stage(&mut self, b: &Binding) {
         self.ports
             .entry((b.dpid, b.port))
             .or_default()
@@ -210,39 +217,46 @@ impl RuleCompiler {
         self.sync_port(b.dpid, b.port, now)
     }
 
-    /// Sync every staged port of `dpid`: the delta bringing the switch from
-    /// whatever the cache says it holds to the desired state.
-    pub fn sync_switch(&mut self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
+    /// Adopt `bindings` as `dpid`'s whole mirror, dropping everything the
+    /// cache held for the switch: it (re)connected, and its table is
+    /// rebuilt or reconciled from scratch.
+    fn restage<'a>(&mut self, dpid: u64, bindings: impl IntoIterator<Item = &'a Binding>) {
+        self.ports.retain(|(d, _), _| *d != dpid);
+        for b in bindings {
+            self.stage(b);
+        }
+    }
+
+    /// Rebuild `dpid`'s mirror from `bindings` and return the delta that
+    /// takes a switch holding no allows to the desired state: the one
+    /// switch-up batch.
+    pub fn rebuild_switch<'a>(
+        &mut self,
+        dpid: u64,
+        bindings: impl IntoIterator<Item = &'a Binding>,
+        now: SimTime,
+    ) -> Vec<FlowMod> {
+        self.restage(dpid, bindings);
         let ports: Vec<u32> = self
             .ports
             .range((dpid, 0)..=(dpid, u32::MAX))
             .map(|((_, p), _)| *p)
             .collect();
-        let mut out = Vec::new();
-        for p in ports {
-            out.extend(self.sync_port(dpid, p, now));
-        }
-        out
-    }
-
-    /// Drop all cached state for `dpid` — the switch (re)connected and its
-    /// table will be rebuilt or reconciled from scratch.
-    pub fn forget_switch(&mut self, dpid: u64) {
-        self.ports.retain(|(d, _), _| *d != dpid);
+        ports
+            .into_iter()
+            .flat_map(|p| self.sync_port(dpid, p, now))
+            .collect()
     }
 
     /// Adopt `bindings` as `dpid`'s mirror and mark the derived rule set as
     /// already installed, emitting nothing: the post-reconciliation
     /// handoff, where the flow-stats diff just brought the switch to
     /// exactly the desired state.
-    pub fn prime_switch(&mut self, dpid: u64, bindings: &[Binding]) {
-        self.forget_switch(dpid);
-        for b in bindings {
-            self.stage(b);
-        }
-        let (budget, match_mac) = (self.budget, self.match_mac);
+    pub fn prime_switch<'a>(&mut self, dpid: u64, bindings: impl IntoIterator<Item = &'a Binding>) {
+        self.restage(dpid, bindings);
         for (_, state) in self.ports.range_mut((dpid, 0)..=(dpid, u32::MAX)) {
-            state.installed = desired_specs(&state.bindings, budget, match_mac);
+            state.installed =
+                desired_specs(&state.bindings, self.cover, &self.subnets, self.match_mac);
         }
     }
 
@@ -257,14 +271,6 @@ impl RuleCompiler {
     /// Total allow rules believed installed across all switches.
     pub fn installed_total(&self) -> usize {
         self.ports.values().map(|s| s.installed.len()).sum()
-    }
-
-    /// True if `dpid`'s port holding `ip` is currently compiled as covers.
-    pub fn is_covered(&self, b: &Binding) -> bool {
-        self.ports
-            .get(&(b.dpid, b.port))
-            .map(|s| s.installed.keys().any(|id| matches!(id, RuleId::Cover(_))))
-            .unwrap_or(false)
     }
 
     fn add_for(&self, state: &PortState, port: u32, id: &RuleId, now: SimTime) -> FlowMod {
@@ -305,7 +311,7 @@ impl RuleCompiler {
         let Some(state) = self.ports.get(&(dpid, port)) else {
             return Vec::new();
         };
-        let desired = desired_specs(&state.bindings, self.budget, self.match_mac);
+        let desired = desired_specs(&state.bindings, self.cover, &self.subnets, self.match_mac);
         let mut adds = Vec::new();
         let mut dels = Vec::new();
         for (id, spec) in &desired {
@@ -384,7 +390,7 @@ mod tests {
 
     #[test]
     fn bind_emits_one_add_and_noop_rebind_emits_nothing() {
-        let mut c = RuleCompiler::new(true, 60, None);
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Host, vec![]);
         let x = b("10.0.0.1", 1, 7);
         let d = c.bind(&x, SimTime::ZERO);
         assert_eq!((adds(&d), dels(&d)), (1, 0));
@@ -396,7 +402,7 @@ mod tests {
 
     #[test]
     fn mac_takeover_strict_deletes_the_old_match() {
-        let mut c = RuleCompiler::new(true, 60, None);
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Host, vec![]);
         let x = b("10.0.0.1", 1, 7);
         c.bind(&x, SimTime::ZERO);
         let mut y = x;
@@ -404,7 +410,7 @@ mod tests {
         let d = c.bind(&y, SimTime::ZERO);
         assert_eq!((adds(&d), dels(&d)), (1, 1));
         // Without MAC matching the match is unchanged — Add alone replaces.
-        let mut c = RuleCompiler::new(false, 60, None);
+        let mut c = RuleCompiler::new(false, 60, CoverPolicy::Host, vec![]);
         c.bind(&x, SimTime::ZERO);
         let d = c.bind(&y, SimTime::ZERO);
         assert!(
@@ -415,7 +421,7 @@ mod tests {
 
     #[test]
     fn lease_renewal_re_adds_without_delete() {
-        let mut c = RuleCompiler::new(true, 60, None);
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Host, vec![]);
         let mut x = b("10.0.0.1", 1, 7);
         x.source = BindingSource::Dhcp;
         x.expires = Some(SimTime::from_secs(100));
@@ -432,7 +438,7 @@ mod tests {
 
     #[test]
     fn crossing_the_budget_swaps_hosts_for_covers_adds_first() {
-        let mut c = RuleCompiler::new(true, 60, Some(2));
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Budget(2), vec![]);
         c.bind(&b("10.0.0.0", 1, 7), SimTime::ZERO);
         let d = c.bind(&b("10.0.0.1", 2, 7), SimTime::ZERO);
         assert_eq!((adds(&d), dels(&d)), (1, 0), "at the budget: still hosts");
@@ -451,7 +457,7 @@ mod tests {
 
     #[test]
     fn release_inside_a_cover_splits_it() {
-        let mut c = RuleCompiler::new(true, 60, Some(2));
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Budget(2), vec![]);
         for (i, ip) in ["10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3"]
             .iter()
             .enumerate()
@@ -473,8 +479,23 @@ mod tests {
     }
 
     #[test]
+    fn subnet_rule_ships_once_and_retires_with_the_last_binding() {
+        let subnets = vec!["10.0.0.0/24".parse().unwrap()];
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Subnet, subnets);
+        let d = c.bind(&b("10.0.0.1", 1, 7), SimTime::ZERO);
+        assert_eq!((adds(&d), dels(&d)), (1, 0), "the port's subnet rule");
+        assert!(c.bind(&b("10.0.0.2", 2, 7), SimTime::ZERO).is_empty());
+        // Outside every subnet: no rule at all.
+        assert!(c.bind(&b("192.168.0.1", 3, 7), SimTime::ZERO).is_empty());
+        assert!(c.unbind(&b("10.0.0.1", 1, 7), SimTime::ZERO).is_empty());
+        let d = c.unbind(&b("10.0.0.2", 2, 7), SimTime::ZERO);
+        assert_eq!((adds(&d), dels(&d)), (0, 1), "last binding retires it");
+        assert_eq!(c.installed_total(), 0);
+    }
+
+    #[test]
     fn rule_expired_evicts_silently() {
-        let mut c = RuleCompiler::new(true, 60, None);
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Host, vec![]);
         let x = b("10.0.0.1", 1, 7);
         c.bind(&x, SimTime::ZERO);
         let d = c.rule_expired(&x, SimTime::ZERO);
@@ -484,11 +505,11 @@ mod tests {
 
     #[test]
     fn prime_switch_adopts_without_emitting() {
-        let mut c = RuleCompiler::new(true, 60, Some(1));
+        let mut c = RuleCompiler::new(true, 60, CoverPolicy::Budget(1), vec![]);
         let bs = vec![b("10.0.0.0", 1, 7), b("10.0.0.1", 2, 7)];
         c.prime_switch(1, &bs);
         assert_eq!(c.installed_on(1), 1, "two hosts over budget → one /31");
         // Syncing right after priming finds nothing to do.
-        assert!(c.sync_switch(1, SimTime::ZERO).is_empty());
+        assert!(c.sync_port(1, 7, SimTime::ZERO).is_empty());
     }
 }

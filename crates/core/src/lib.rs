@@ -30,9 +30,11 @@
 //! the new one installed.
 //!
 //! [`SavApp`] is the controller application; [`binding`] the table;
-//! [`rules`] the pure binding→FlowMod compiler (unit-testable without a
-//! controller); [`SavConfig`] selects modes (proactive/reactive,
-//! aggregation, iSAV/oSAV, MAC matching).
+//! [`rules`] the pure binding→FlowMod shapes (unit-testable without a
+//! controller); [`RuleCompiler`] the one incremental compiler placing
+//! every proactive allow; [`SavConfig`] selects modes (proactive/reactive,
+//! iSAV/oSAV, MAC matching) and the [`CoverPolicy`] that shapes each
+//! port's allows — per host, exact CIDR cover past a budget, or subnet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,7 @@ pub mod compiler;
 pub mod poller;
 pub mod rules;
 
+pub use aggregate::CoverPolicy;
 pub use app::{BorderConfig, SavApp, SavConfig, SavMode, SavStats};
 pub use binding::{Binding, BindingChange, BindingSource, BindingTable};
 pub use compiler::RuleCompiler;

@@ -64,40 +64,33 @@ pub fn binding_delete(b: &Binding, match_mac: bool) -> FlowMod {
     }
 }
 
-/// Aggregated allow: every source within `prefix` entering `port` passes.
-/// The coarse mode for ports that front an unmanaged downstream segment —
-/// fewer rules, but same-prefix spoofing on that port goes undetected.
-pub fn prefix_allow(port: u32, prefix: Ipv4Cidr) -> FlowMod {
-    FlowMod {
-        priority: PRIO_ALLOW,
-        cookie: SAV_COOKIE | 0x0000_ffff_0000_0000,
-        instructions: vec![Instruction::GotoTable(TABLE_FWD)],
-        ..FlowMod::add(
-            OxmMatch::new()
-                .with(OxmField::InPort(port))
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask()))),
-        )
-    }
-}
-
-/// Cookie for a budgeted exact-cover rule: the `0xffff` kind (so
-/// binding-expiry logic and the stats poller's per-binding records ignore
-/// it, exactly like the legacy [`prefix_allow`] cookie) plus the cover's
-/// network address in the low 32 bits for attribution. Disjoint covers
-/// have distinct networks, so every cover on a port gets a unique cookie.
+/// Cookie for a prefix cover rule: the `0xffff` kind (so binding-expiry
+/// logic and the stats poller's per-binding records ignore it) plus the
+/// cover's network address in the low 32 bits for attribution. Disjoint
+/// covers have distinct networks, so every cover on a port gets a unique
+/// cookie.
 pub fn cover_cookie(prefix: Ipv4Cidr) -> u64 {
     SAV_COOKIE | 0x0000_ffff_0000_0000 | u64::from(u32::from(prefix.network()))
 }
 
-/// Budgeted exact-cover allow: like [`prefix_allow`] but with an
-/// attributable per-prefix cookie. No timeouts and no `SEND_FLOW_REM` —
-/// covered bindings expire under controller control (`SavApp::sweep_expired`),
-/// not switch timers, since one rule stands for many leases.
+fn cover_match(port: u32, prefix: Ipv4Cidr) -> OxmMatch {
+    OxmMatch::new()
+        .with(OxmField::InPort(port))
+        .with(OxmField::EthType(0x0800))
+        .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask())))
+}
+
+/// Prefix cover allow: every source within `prefix` entering `port`
+/// passes, whether `prefix` is an exact cover or a whole subnet. No
+/// timeouts and no `SEND_FLOW_REM` — covered bindings expire under
+/// controller control (`SavApp::sweep_expired`), not switch timers, since
+/// one rule stands for many leases.
 pub fn cover_allow(port: u32, prefix: Ipv4Cidr) -> FlowMod {
     FlowMod {
+        priority: PRIO_ALLOW,
         cookie: cover_cookie(prefix),
-        ..prefix_allow(port, prefix)
+        instructions: vec![Instruction::GotoTable(TABLE_FWD)],
+        ..FlowMod::add(cover_match(port, prefix))
     }
 }
 
@@ -107,12 +100,7 @@ pub fn cover_delete(port: u32, prefix: Ipv4Cidr) -> FlowMod {
         priority: PRIO_ALLOW,
         cookie: cover_cookie(prefix),
         command: FlowModCommand::DeleteStrict,
-        ..FlowMod::add(
-            OxmMatch::new()
-                .with(OxmField::InPort(port))
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask()))),
-        )
+        ..FlowMod::add(cover_match(port, prefix))
     }
 }
 
@@ -324,8 +312,17 @@ mod tests {
 
     #[test]
     fn prefix_allow_masks() {
-        let fm = prefix_allow(4, "10.0.1.0/24".parse().unwrap());
+        let fm = cover_allow(4, "10.0.1.0/24".parse().unwrap());
         assert!(fm.match_.validate_prerequisites().is_ok());
+        assert_eq!(
+            fm.cookie & 0xffff_ffff,
+            0x0a00_0100,
+            "network in the cookie"
+        );
+        assert_eq!(
+            cover_delete(4, "10.0.1.0/24".parse().unwrap()).match_,
+            fm.match_
+        );
         let has_masked = fm.match_.fields().iter().any(|f| {
             matches!(f, OxmField::Ipv4Src(ip, Some(mask))
                 if *ip == "10.0.1.0".parse::<std::net::Ipv4Addr>().unwrap()

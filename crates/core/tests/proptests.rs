@@ -2,13 +2,12 @@
 //! precedence lattice) and the **differential compiler suite**: the
 //! incremental rule compiler must leave a switch holding exactly what a
 //! from-scratch wholesale compile of the final binding table produces, for
-//! any operation sequence and any TCAM budget.
+//! any operation sequence and every cover policy.
 
 use proptest::prelude::*;
 use sav_controller::app::{App, Ctx};
 use sav_core::binding::{Binding, BindingChange, BindingSource, BindingTable};
-use sav_core::compiler::compile_port;
-use sav_core::{SavApp, SavConfig};
+use sav_core::{CoverPolicy, RuleCompiler, SavApp, SavConfig};
 use sav_net::addr::MacAddr;
 use sav_openflow::messages::{FlowModCommand, Message, PortStatus, PortStatusReason};
 use sav_openflow::ports::{PortDesc, PortState};
@@ -194,7 +193,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Operations the incremental compiler must track: binding churn from every
-/// lifecycle path the app exposes, at any TCAM budget.
+/// lifecycle path the app exposes, under any cover policy.
 #[derive(Debug, Clone)]
 enum CompilerOp {
     /// DHCP ack / static seed / FCFS claim / migration — all land here.
@@ -242,7 +241,7 @@ fn fold_delta(table: &mut FlowTable, msgs: Vec<(u64, Message)>) {
 
 proptest! {
     /// **Differential property**: drive `SavApp` through an arbitrary
-    /// binding-churn sequence at an arbitrary TCAM budget, folding every
+    /// binding-churn sequence under an arbitrary cover policy, folding every
     /// emitted flow-mod delta into a model switch table. The folded table
     /// must be semantically identical — same (match, priority, cookie)
     /// set — to a from-scratch wholesale compile of the final binding
@@ -251,14 +250,25 @@ proptest! {
     #[test]
     fn incremental_compiler_matches_wholesale(
         ops in proptest::collection::vec(arb_compiler_op(), 1..80),
-        budget_sel in 0usize..5,
+        policy_sel in 0usize..7,
     ) {
-        let budget = [None, Some(1), Some(2), Some(4), Some(8)][budget_sel];
+        let cover = [
+            CoverPolicy::Host,
+            CoverPolicy::Budget(0),
+            CoverPolicy::Budget(1),
+            CoverPolicy::Budget(2),
+            CoverPolicy::Budget(4),
+            CoverPolicy::Budget(8),
+            CoverPolicy::Subnet,
+        ][policy_sel];
+        // linear(2, 2) plans 10.0.0.0/24, which holds every generated
+        // address, so the subnet policy compiles real rules too.
         let topo = Arc::new(sav_topo::generators::linear(2, 2));
+        let subnets = topo.subnets().into_iter().map(|(c, _)| c).collect();
         let config = SavConfig {
             static_plan: false,
             dhcp_snooping: false,
-            tcam_budget: budget,
+            cover,
             ..SavConfig::default()
         };
         let match_mac = config.match_mac;
@@ -314,14 +324,16 @@ proptest! {
             );
         }
 
-        // Wholesale compile of the final binding table, per (dpid, port).
+        // Wholesale compile of the final binding table, per (dpid, port),
+        // by a fresh compiler that holds no cached state.
+        let wholesale = RuleCompiler::new(match_mac, idle, cover, subnets);
         let mut by_port: BTreeMap<(u64, u32), BTreeMap<Ipv4Addr, Binding>> = BTreeMap::new();
         for b in app.bindings().iter() {
             by_port.entry((b.dpid, b.port)).or_default().insert(b.ip, *b);
         }
         let mut expected = FlowTable::new();
         for ((dpid, _port), bs) in &by_port {
-            for fm in compile_port(bs, match_mac, idle, budget, now) {
+            for fm in wholesale.compile_port(bs, now) {
                 expected.insert((*dpid, fm.priority, format!("{:?}", fm.match_)), fm.cookie);
             }
         }

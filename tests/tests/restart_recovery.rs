@@ -424,45 +424,34 @@ fn controller_restart_recovers_bindings_over_tcp() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Budgeted-aggregation regression for restart reconciliation: a port whose
-/// host rules were compressed into CIDR covers must survive a controller
-/// crash with **kept == everything, installed == 0, deleted == 0** — cover
-/// rules carry the SAV cookie tag and the recovered compiler recomputes the
-/// identical desired set. In-process (no TCP): the "switch" is a flow table
-/// folded from the flow-mods the first life actually emitted.
+/// Aggregation regression for restart reconciliation, for every cover
+/// policy: a port whose host rules were compressed into CIDR covers (or
+/// folded into its subnet rule) must survive a controller crash with
+/// **kept == everything, installed == 0, deleted == 0** — cover rules carry
+/// the SAV cookie tag and the recovered compiler recomputes the identical
+/// desired set. Static seeds are journaled once each, on first sight. In
+/// process (no TCP): the "switch" is a flow table folded from the
+/// flow-mods the first life actually emitted.
 #[test]
 fn budgeted_aggregation_survives_restart_reconciliation() {
     use sav_controller::app::Ctx;
-    use sav_core::{Binding, BindingSource};
+    use sav_core::{Binding, BindingSource, CoverPolicy};
+    use sav_obs::Obs;
     use sav_openflow::messages::{
-        FlowModCommand, FlowStatsEntry, Message, MultipartReplyBody, MultipartRequestBody,
+        FlowMod, FlowModCommand, FlowStatsEntry, Message, MultipartReplyBody, MultipartRequestBody,
     };
     use sav_openflow::oxm::OxmField;
     use sav_sim::SimTime;
     use std::net::Ipv4Addr;
 
-    let dir = std::env::temp_dir().join(format!(
-        "sav-budgeted-restart-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    type Table = HashMap<(u16, String), FlowMod>;
+    const PORT: u32 = 9;
 
     let topo = Arc::new(generators::linear(2, 2));
     let dpid = topo.switches()[0].id.dpid();
-    let config = SavConfig {
-        static_plan: false,
-        tcam_budget: Some(4),
-        ..SavConfig::default()
-    };
-
-    // ---- Life 1: empty store, then 6 DHCP bindings on one port. -------
-    let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
-    let mut app = sav_core::SavApp::with_store(topo.clone(), config.clone(), store);
-    // The model switch: (priority, match) → the installed FlowMod.
-    let mut table: HashMap<(u16, String), sav_openflow::messages::FlowMod> = HashMap::new();
-    let fold = |table: &mut HashMap<(u16, String), sav_openflow::messages::FlowMod>,
-                msgs: Vec<(u64, Message)>| {
+    let sid = topo.switches()[0].id;
+    let statics = topo.hosts_on(sid).count();
+    let fold = |table: &mut Table, msgs: Vec<(u64, Message)>| {
         for (d, m) in msgs {
             let Message::FlowMod(fm) = m else { continue };
             assert_eq!(d, dpid);
@@ -478,117 +467,171 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
             }
         }
     };
-    let mut ctx = Ctx::new(SimTime::ZERO);
-    app.on_switch_up(&mut ctx, dpid);
-    drop(ctx.take()); // cookie-filtered stats request, no rules yet
-    let mut ctx = Ctx::new(SimTime::ZERO);
-    app.on_stats_reply(&mut ctx, dpid, &MultipartReplyBody::Flow(vec![]));
-    fold(&mut table, ctx.take());
-
-    for i in 0..6u32 {
-        let b = Binding {
-            ip: Ipv4Addr::from(0x0a00_1400 + i),
-            mac: MacAddr::from_index(u64::from(i) + 1),
-            dpid,
-            port: 1,
-            source: BindingSource::Dhcp,
-            expires: Some(SimTime::from_secs(u64::from(LEASE_SECS))),
-        };
-        let mut ctx = Ctx::new(SimTime::ZERO);
-        app.upsert_binding(&mut ctx, b);
-        fold(&mut table, ctx.take());
-    }
-    // 6 > budget 4: the port's allows are covers (10.0.20.0/30 + /31),
-    // recognisable by their masked ipv4_src.
-    let covers = table
-        .values()
-        .filter(|fm| {
+    // Allows on the test port, and whether any of them admits `ip`.
+    let port_allows = |table: &Table| {
+        table
+            .values()
+            .filter(|fm| fm.priority == sav_core::PRIO_ALLOW && fm.match_.in_port() == Some(PORT))
+            .count()
+    };
+    let admits = |table: &Table, ip: Ipv4Addr| {
+        table.values().any(|fm| {
             fm.priority == sav_core::PRIO_ALLOW
-                && fm
-                    .match_
-                    .fields()
-                    .iter()
-                    .any(|f| matches!(f, OxmField::Ipv4Src(_, Some(_))))
+                && fm.match_.fields().iter().any(|f| match f {
+                    OxmField::Ipv4Src(net, Some(mask)) => {
+                        u32::from(*net) & u32::from(*mask) == u32::from(ip) & u32::from(*mask)
+                    }
+                    OxmField::Ipv4Src(net, None) => *net == ip,
+                    _ => false,
+                })
         })
-        .count();
-    assert_eq!(
-        covers, 2,
-        "six hosts over budget four compress to two covers"
-    );
-    let n_rules = table.len();
-    drop(app); // crash: nothing beyond the per-append WAL fsyncs
+    };
+    let learned = |obs: &Obs| {
+        obs.journal
+            .tail(usize::MAX)
+            .iter()
+            .filter(|e| e.kind.name() == "binding_learned")
+            .count()
+    };
 
-    // ---- Life 2: recover, reconcile against the surviving table. ------
-    let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.recovery_report().recovered_bindings, 6);
-    let mut app = sav_core::SavApp::with_store(topo.clone(), config, store);
-    let counters = app.counters.clone();
-    let mut ctx = Ctx::new(SimTime::ZERO);
-    app.on_switch_up(&mut ctx, dpid);
-    let msgs = ctx.take();
-    assert_eq!(msgs.len(), 1, "reconcile path sends only the stats request");
-    assert!(matches!(
-        &msgs[0].1,
-        Message::MultipartRequest(MultipartRequestBody::Flow(req))
-            if req.cookie == sav_core::SAV_COOKIE
-    ));
-    let entries: Vec<FlowStatsEntry> = table
-        .values()
-        .map(|fm| FlowStatsEntry {
-            table_id: fm.table_id,
-            duration_sec: 1,
-            duration_nsec: 0,
-            priority: fm.priority,
-            idle_timeout: fm.idle_timeout,
-            hard_timeout: fm.hard_timeout,
-            flags: fm.flags,
-            cookie: fm.cookie,
-            packet_count: 0,
-            byte_count: 0,
-            match_: fm.match_.clone(),
-            instructions: fm.instructions.clone(),
-        })
-        .collect();
-    let mut ctx = Ctx::new(SimTime::ZERO);
-    app.on_stats_reply(&mut ctx, dpid, &MultipartReplyBody::Flow(entries));
-    let mods: Vec<_> = ctx
-        .take()
-        .into_iter()
-        .filter(|(_, m)| matches!(m, Message::FlowMod(_)))
-        .collect();
-    assert!(mods.is_empty(), "reconcile must not churn: {mods:?}");
-    assert_eq!(counters.get("reconciled_kept"), n_rules as u64);
-    assert_eq!(counters.get("reconciled_installed"), 0);
-    assert_eq!(counters.get("reconciled_deleted"), 0);
+    // Six DHCP hosts on one port of 10.0.0.0/24: exact covers are
+    // 10.0.0.20/30 + 10.0.0.24/31, the subnet policy's is the /24.
+    for (cover, want_covers) in [
+        (CoverPolicy::Subnet, 1),
+        (CoverPolicy::Budget(0), 2),
+        (CoverPolicy::Budget(2), 2),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "sav-budgeted-restart-{}-{:?}-{cover:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = SavConfig {
+            cover,
+            ..SavConfig::default()
+        };
 
-    // The recovered compiler is primed: releasing an address inside a cover
-    // splits it, proving incremental compilation works after the restart.
-    let before = app.compiled_rule_count();
-    let mut ctx = Ctx::new(SimTime::from_secs(1));
-    assert!(app
-        .release_binding(&mut ctx, "10.0.20.2".parse().unwrap())
-        .is_some());
-    fold(&mut table, ctx.take());
-    assert!(
-        app.compiled_rule_count() > before,
-        "cover split into fragments"
-    );
-    // No surviving allow — host or cover — admits the released address.
-    let released = u32::from("10.0.20.2".parse::<Ipv4Addr>().unwrap());
-    assert!(
-        !table.values().any(|fm| fm.match_.fields().iter().any(|f| {
-            match f {
-                OxmField::Ipv4Src(ip, Some(mask)) => {
-                    u32::from(*ip) & u32::from(*mask) == released & u32::from(*mask)
-                }
-                OxmField::Ipv4Src(ip, None) => u32::from(*ip) == released,
-                _ => false,
-            }
-        })),
-        "the released address must no longer be admitted by any rule"
-    );
+        // ---- Life 1: empty store, static seeds, then 6 DHCP bindings. --
+        let obs = Obs::new();
+        let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut app = SavApp::with_store(topo.clone(), config.clone(), store).with_obs(obs.clone());
+        let mut table = Table::new();
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, dpid);
+        drop(ctx.take()); // cookie-filtered stats request, no rules yet
+        assert_eq!(
+            learned(&obs),
+            statics,
+            "{cover:?}: one BindingLearned per static seed"
+        );
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_stats_reply(&mut ctx, dpid, &MultipartReplyBody::Flow(vec![]));
+        fold(&mut table, ctx.take());
 
-    std::fs::remove_dir_all(&dir).unwrap();
+        let dhcp: Vec<Ipv4Addr> = (20..26u8).map(|i| Ipv4Addr::new(10, 0, 0, i)).collect();
+        for (i, &ip) in dhcp.iter().enumerate() {
+            let b = Binding {
+                ip,
+                mac: MacAddr::from_index(i as u64 + 100),
+                dpid,
+                port: PORT,
+                source: BindingSource::Dhcp,
+                expires: Some(SimTime::from_secs(u64::from(LEASE_SECS))),
+            };
+            let mut ctx = Ctx::new(SimTime::ZERO);
+            app.upsert_binding(&mut ctx, b);
+            fold(&mut table, ctx.take());
+        }
+        assert_eq!(
+            port_allows(&table),
+            want_covers,
+            "{cover:?}: six hosts compress to {want_covers} covers"
+        );
+        let n_rules = table.len();
+        drop(app); // crash: nothing beyond the committed WAL
+
+        // ---- Life 2: recover, reconcile against the surviving table. ---
+        let obs = Obs::new();
+        let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.recovery_report().recovered_bindings, 6 + statics);
+        let mut app = SavApp::with_store(topo.clone(), config, store).with_obs(obs.clone());
+        let counters = app.counters.clone();
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, dpid);
+        let msgs = ctx.take();
+        assert_eq!(msgs.len(), 1, "reconcile path sends only the stats request");
+        assert!(matches!(
+            &msgs[0].1,
+            Message::MultipartRequest(MultipartRequestBody::Flow(req))
+                if req.cookie == sav_core::SAV_COOKIE
+        ));
+        assert_eq!(learned(&obs), 0, "{cover:?}: recovered seeds are not new");
+        let entries: Vec<FlowStatsEntry> = table
+            .values()
+            .map(|fm| FlowStatsEntry {
+                table_id: fm.table_id,
+                duration_sec: 1,
+                duration_nsec: 0,
+                priority: fm.priority,
+                idle_timeout: fm.idle_timeout,
+                hard_timeout: fm.hard_timeout,
+                flags: fm.flags,
+                cookie: fm.cookie,
+                packet_count: 0,
+                byte_count: 0,
+                match_: fm.match_.clone(),
+                instructions: fm.instructions.clone(),
+            })
+            .collect();
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_stats_reply(&mut ctx, dpid, &MultipartReplyBody::Flow(entries));
+        let mods: Vec<_> = ctx
+            .take()
+            .into_iter()
+            .filter(|(_, m)| matches!(m, Message::FlowMod(_)))
+            .collect();
+        assert!(
+            mods.is_empty(),
+            "{cover:?}: reconcile must not churn: {mods:?}"
+        );
+        assert_eq!(counters.get("reconciled_kept"), n_rules as u64);
+        assert_eq!(counters.get("reconciled_installed"), 0);
+        assert_eq!(counters.get("reconciled_deleted"), 0);
+
+        // The recovered compiler is primed: releasing an address inside a
+        // cover re-derives the port's covers after the restart.
+        let before = app.compiled_rule_count();
+        let mut ctx = Ctx::new(SimTime::from_secs(1));
+        assert!(app.release_binding(&mut ctx, dhcp[2]).is_some());
+        fold(&mut table, ctx.take());
+        if cover == CoverPolicy::Subnet {
+            // The subnet rule still stands for the port's other hosts.
+            assert_eq!(app.compiled_rule_count(), before);
+        } else {
+            assert!(
+                app.compiled_rule_count() > before,
+                "cover split into fragments"
+            );
+            assert!(
+                !admits(&table, dhcp[2]),
+                "the released address must no longer be admitted by any rule"
+            );
+        }
+        // Releasing the port's last binding retires its last allow.
+        for &ip in dhcp.iter().filter(|&&ip| ip != dhcp[2]) {
+            let mut ctx = Ctx::new(SimTime::from_secs(2));
+            assert!(app.release_binding(&mut ctx, ip).is_some());
+            fold(&mut table, ctx.take());
+        }
+        assert_eq!(
+            port_allows(&table),
+            0,
+            "{cover:?}: no allow outlives the port"
+        );
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Regression: a switch holding more SAV allow rules than one 64 KiB
